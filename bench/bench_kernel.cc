@@ -10,6 +10,8 @@
  *   same_time_fifo   bursts of same-timestamp events (seq tie-break path)
  *   coroutine_ping   processes co_awaiting delay() in a loop (handle path)
  *   semaphore_chain  contended Semaphore FIFO hand-off between processes
+ *   task_chain       one RPC's shape: spawn, then depth-4 nested Task
+ *                    awaits over delay() (the coroutine-frame pool path)
  *   tracing_overhead disabled-tracer start_span vs no call at all; asserts
  *                    the disabled path costs <5% (one branch, §ISSUE-5)
  *   attribution      end-to-end λFS stat microbench with the attribution
@@ -215,6 +217,50 @@ run_semaphore_chain()
     const int rounds = total_events() / (3 * procs);
     for (int p = 0; p < procs; ++p) {
         sim::spawn(co_chain(sim, sem, rounds));
+    }
+    sim.run();
+    return sim.events_executed();
+}
+
+sim::Task<void>
+co_hop(sim::Simulation& sim, int depth)
+{
+    co_await sim::delay(sim, sim::usec(1));
+    if (depth > 0) {
+        co_await co_hop(sim, depth - 1);
+    }
+}
+
+sim::Task<void>
+co_rpc(sim::Simulation& sim, sim::WaitGroup* wg)
+{
+    co_await co_hop(sim, 4);
+    wg->done();
+}
+
+sim::Task<void>
+co_rpc_client(sim::Simulation& sim, int rpcs)
+{
+    for (int i = 0; i < rpcs; ++i) {
+        sim::WaitGroup wg(sim);
+        wg.add();
+        sim::spawn(co_rpc(sim, &wg));
+        co_await wg.wait();
+    }
+}
+
+/**
+ * Frame churn: each RPC spawns a process whose five nested frames live
+ * for one delay each — every event creates or frees a coroutine frame.
+ */
+uint64_t
+run_task_chain()
+{
+    sim::Simulation sim;
+    const int procs = 64;
+    const int rpcs = total_events() / (6 * procs);
+    for (int p = 0; p < procs; ++p) {
+        sim::spawn(co_rpc_client(sim, rpcs));
     }
     sim.run();
     return sim.events_executed();
@@ -452,6 +498,7 @@ main(int argc, char** argv)
     measure_case("same_time_fifo", run_same_time_fifo);
     measure_case("coroutine_ping", run_coroutine_ping);
     measure_case("semaphore_chain", run_semaphore_chain);
+    measure_case("task_chain", run_task_chain);
     bool ok = run_tracing_overhead_audit();
     ok = run_attribution_overhead_audit() && ok;
 

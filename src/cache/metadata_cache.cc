@@ -349,6 +349,7 @@ MetadataCache::log_invalidation(std::string_view p, bool prefix)
     // Interned (not find): the invalidated path may never have been
     // cached, but a racing install of exactly that path must still match
     // the log — so its components need ids.
+    entry.comps.reserve(static_cast<size_t>(path::depth(p)));
     for (std::string_view comp : path::PathView(p)) {
         entry.comps.push_back(names_.intern(comp));
     }

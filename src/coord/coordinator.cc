@@ -92,8 +92,9 @@ Coordinator::try_deliver(int group, CacheMember* member,
 }
 
 sim::Task<void>
-Coordinator::deliver_one(int group, CacheMember* member, std::string path,
-                         bool subtree, sim::WaitGroup* wg)
+Coordinator::deliver_one(int group, CacheMember* member,
+                         const std::string& path, bool subtree,
+                         sim::WaitGroup* wg)
 {
     sim::SimTime backoff = config_.ack_timeout;
     while (true) {

@@ -104,9 +104,10 @@ class Coordinator {
      * installed FaultPlan, including partitions of the member's group —
      * therefore delays but never skips an invalidation: the write holds
      * its exclusive store locks until every live member has ACKed.
+     * @p path points into the round's targets, which outlive @p wg.
      */
     sim::Task<void> deliver_one(int group, CacheMember* member,
-                                std::string path, bool subtree,
+                                const std::string& path, bool subtree,
                                 sim::WaitGroup* wg);
 
     /** One INV/ACK attempt. @return true when the leader saw the ACK. */

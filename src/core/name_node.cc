@@ -7,6 +7,22 @@
 
 namespace lfs::core {
 
+namespace {
+
+/** Append the point INV for @p p's parent directory to @p targets. */
+void
+add_parent_target(const NamespacePartitioner& partitioner,
+                  const std::string& p,
+                  std::vector<coord::Coordinator::InvTarget>& targets)
+{
+    std::string parent = path::parent(p);
+    const int home = partitioner.deployment_for(parent);
+    targets.push_back(
+        coord::Coordinator::InvTarget{home, std::move(parent), false});
+}
+
+}  // namespace
+
 NameNode::NameNode(LfsRuntime& runtime, faas::FunctionInstance& instance,
                    NameNodeConfig config)
     : rt_(runtime),
@@ -84,12 +100,11 @@ NameNode::run_coherence(const Op& op, bool invalidate_ancestors)
     // it from the INV fan-out).
     invalidate_local(op);
     std::vector<coord::Coordinator::InvTarget> targets;
+    targets.reserve(4);
     auto add_path = [&](const std::string& p) {
         targets.push_back(coord::Coordinator::InvTarget{
             rt_.partitioner.deployment_for(p), p, false});
-        std::string parent = path::parent(p);
-        targets.push_back(coord::Coordinator::InvTarget{
-            rt_.partitioner.deployment_for(parent), parent, false});
+        add_parent_target(rt_.partitioner, p, targets);
     };
     add_path(op.path);
     if (has_dst_path(op.type)) {
@@ -100,10 +115,11 @@ NameNode::run_coherence(const Op& op, bool invalidate_ancestors)
     if (invalidate_ancestors) {
         // mkdirs with missing intermediates mutates every ancestor level,
         // not just the immediate parent.
-        for (const std::string& a : path::ancestors(op.path)) {
+        for (std::string& a : path::ancestors(op.path)) {
             cache_.invalidate(a);
-            targets.push_back(coord::Coordinator::InvTarget{
-                rt_.partitioner.deployment_for(a), a, false});
+            const int home = rt_.partitioner.deployment_for(a);
+            targets.push_back(
+                coord::Coordinator::InvTarget{home, std::move(a), false});
         }
     }
     co_await rt_.coordinator.invalidate(std::move(targets), this, op.trace);
@@ -121,13 +137,9 @@ NameNode::run_subtree_coherence(Op op)
     for (int d : rt_.partitioner.all_deployments()) {
         targets.push_back(coord::Coordinator::InvTarget{d, op.path, true});
     }
-    std::string src_parent = path::parent(op.path);
-    targets.push_back(coord::Coordinator::InvTarget{
-        rt_.partitioner.deployment_for(src_parent), src_parent, false});
+    add_parent_target(rt_.partitioner, op.path, targets);
     if (op.type == OpType::kMv || op.type == OpType::kSubtreeMv) {
-        std::string dst_parent = path::parent(op.dst);
-        targets.push_back(coord::Coordinator::InvTarget{
-            rt_.partitioner.deployment_for(dst_parent), dst_parent, false});
+        add_parent_target(rt_.partitioner, op.dst, targets);
     }
     co_await rt_.coordinator.invalidate(std::move(targets), this, op.trace);
 }
@@ -235,7 +247,11 @@ NameNode::cache_own_partition_entries(const std::vector<ns::INode>& chain,
     std::string p = "/";
     for (const ns::INode& inode : chain) {
         if (inode.id != ns::kRootId) {
-            p = path::join(p, inode.name);
+            // p stays normalized, so appending equals path::join.
+            if (p.size() > 1) {
+                p += '/';
+            }
+            p += inode.name;
         }
         if (rt_.partitioner.deployment_for(p) == instance_.deployment_id()) {
             cache_.put_guarded(p, inode, token);
@@ -260,15 +276,14 @@ NameNode::handle_write(const Op& op)
     // Path resolution: a write must validate/permission-check the parent
     // chain. With the parent cached (the "INode Hint Cache" effect) this
     // is free; otherwise it costs one batched resolve round trip.
-    std::string parent = path::parent(op.path);
     bool parent_missing = false;
-    if (!cache_.contains(parent)) {
+    if (!cache_.contains(path::parent_view(op.path))) {
         Op resolve;
         resolve.type = OpType::kStat;
-        resolve.path = parent;
+        resolve.path = path::parent(op.path);
         resolve.user = op.user;
         const cache::MetadataCache::ReadToken token = cache_.begin_read();
-        OpResult resolved = co_await rt_.store.read_op(resolve);
+        OpResult resolved = co_await rt_.store.read_op(std::move(resolve));
         if (attr) {
             pre.merge(resolved.ledger);
         }

@@ -17,7 +17,8 @@ NamespacePartitioner::NamespacePartitioner(int num_deployments, int vnodes)
 int
 NamespacePartitioner::deployment_for(const std::string& p) const
 {
-    return ring_.lookup(path::parent(p));
+    // Same point as ring_.lookup(path::parent(p)), minus the string.
+    return ring_.lookup_hash(mix64(path::parent_hash(p)));
 }
 
 int

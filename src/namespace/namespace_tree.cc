@@ -324,6 +324,7 @@ NamespaceTree::resolve_ex(std::string_view p, const UserContext& user,
         return Status::invalid_argument(describe("bad path: ", p));
     }
     ResolvedPath out;
+    out.chain.reserve(static_cast<size_t>(path::depth(p)) + 1);
     const INodeRec* cur = resident_ptr(kRootId);
     out.chain.push_back(materialize(*cur));
     // Walk components by offset (not PathView) so a symlink splice can
@@ -488,7 +489,13 @@ NamespaceTree::list(std::string_view p, const UserContext& user) const
     if (!resolved.ok()) {
         return resolved.status();
     }
-    const INode& target = resolved->target();
+    return list_resolved(resolved->target(), p, user);
+}
+
+StatusOr<std::vector<std::string>>
+NamespaceTree::list_resolved(const INode& target, std::string_view p,
+                             const UserContext& user) const
+{
     if (target.is_file()) {
         // ls on a file lists the file itself (HDFS semantics).
         return std::vector<std::string>{target.name};

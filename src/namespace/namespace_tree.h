@@ -193,6 +193,14 @@ class NamespaceTree {
     StatusOr<std::vector<std::string>> list(std::string_view path,
                                             const UserContext& user) const;
 
+    /**
+     * list() of a @p target already resolved from @p path (the path only
+     * names it in errors), for callers that resolved it themselves.
+     */
+    StatusOr<std::vector<std::string>> list_resolved(
+        const INode& target, std::string_view path,
+        const UserContext& user) const;
+
     // ------------------------------------------------------------------
     // Mutations
     // ------------------------------------------------------------------

@@ -20,7 +20,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
@@ -120,10 +119,12 @@ class Gate {
             return;
         }
         set_ = true;
-        for (auto h : waiters_) {
-            sim_.schedule(0, h);
+        for (Waiter* w = std::exchange(head_, nullptr); w != nullptr;) {
+            Waiter* next = w->next;
+            sim_.schedule(0, w->handle);
+            w = next;
         }
-        waiters_.clear();
+        tail_ = nullptr;
     }
 
     bool is_set() const { return set_; }
@@ -131,23 +132,38 @@ class Gate {
     auto
     wait()
     {
+        // The waiter node lives in the suspended frame's awaiter, so
+        // waiting allocates nothing (DESIGN.md §10).
         struct Awaiter {
             Gate& gate;
+            Waiter node;
             bool await_ready() const noexcept { return gate.set_; }
             void
-            await_suspend(std::coroutine_handle<> h)
+            await_suspend(std::coroutine_handle<> h) noexcept
             {
-                gate.waiters_.push_back(h);
+                node.handle = h;
+                if (gate.tail_ == nullptr) {
+                    gate.head_ = &node;
+                } else {
+                    gate.tail_->next = &node;
+                }
+                gate.tail_ = &node;
             }
             void await_resume() const noexcept {}
         };
-        return Awaiter{*this};
+        return Awaiter{*this, {}};
     }
 
   private:
+    struct Waiter {
+        std::coroutine_handle<> handle;
+        Waiter* next = nullptr;
+    };
+
     Simulation& sim_;
     bool set_ = false;
-    std::vector<std::coroutine_handle<>> waiters_;
+    Waiter* head_ = nullptr;  ///< FIFO of suspended waiters
+    Waiter* tail_ = nullptr;
 };
 
 /**

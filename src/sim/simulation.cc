@@ -1,5 +1,7 @@
 #include "src/sim/simulation.h"
 
+#include "src/sim/task.h"
+
 namespace lfs::sim {
 
 namespace {
@@ -80,6 +82,7 @@ Simulation::~Simulation()
     for (const HeapEntry& entry : heap_) {
         entry.ev->dispose(entry.ev);
     }
+    detail::FramePool::release_parked();
 }
 
 Simulation::Event*

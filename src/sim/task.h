@@ -11,20 +11,143 @@
  * Task (``co_await some_task()``) keeps the temporary alive for the full
  * await-expression, so frames are destroyed exactly once, after completion.
  * Detached processes are started with spawn().
+ *
+ * Frame allocation (DESIGN.md §10): every Task and spawn() frame comes
+ * from FramePool, a set of per-size-class intrusive free lists, so a
+ * warmed process chain allocates nothing from the heap.
  */
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define LFS_FRAME_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define LFS_FRAME_POOL_ASAN 1
+#endif
+#endif
+#ifdef LFS_FRAME_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace lfs::sim {
 
 template <typename T> class Task;
 
 namespace detail {
+
+/**
+ * Recycles coroutine frames through intrusive free lists, one per 64-byte
+ * size class — the frame analogue of the kernel's event-node pool. A
+ * freed frame is parked on its class's list (its first word becomes the
+ * next link) and handed back to the next frame of the same class; frames
+ * above kMaxPooled go straight to ::operator new/delete. Parked frames
+ * go back to the heap only in release_parked(). Lists are per thread, so
+ * simulations on different threads never share one. Under
+ * AddressSanitizer a parked frame is poisoned until reuse, so touching a
+ * recycled frame is still reported (as use-after-poison).
+ */
+class FramePool {
+  public:
+    static constexpr size_t kGranule = 64;
+    static constexpr size_t kClasses = 64;
+    static constexpr size_t kMaxPooled = kGranule * kClasses;
+
+    /** Size class of an @p n-byte frame (valid when n <= kMaxPooled). */
+    static constexpr size_t
+    size_class(size_t n)
+    {
+        return n == 0 ? 0 : (n - 1) / kGranule;
+    }
+
+    static void*
+    allocate(size_t n)
+    {
+        if (n > kMaxPooled) {
+            return ::operator new(n);
+        }
+        const size_t c = size_class(n);
+        Link* head = heads_[c];
+        if (head == nullptr) {
+            return ::operator new((c + 1) * kGranule);
+        }
+        unpoison(head, (c + 1) * kGranule);
+        heads_[c] = head->next;
+        return head;
+    }
+
+    static void
+    deallocate(void* p, size_t n) noexcept
+    {
+        if (n > kMaxPooled) {
+            ::operator delete(p, n);
+            return;
+        }
+        const size_t c = size_class(n);
+        Link* link = static_cast<Link*>(p);
+        link->next = heads_[c];
+        heads_[c] = link;
+        poison(link, (c + 1) * kGranule);
+    }
+
+    /**
+     * Return every parked frame to the heap. A Simulation calls this on
+     * teardown, so each run starts from an empty pool and its frame
+     * allocations depend on that run alone, as with plain new/delete.
+     */
+    static void
+    release_parked() noexcept
+    {
+        for (size_t c = 0; c < kClasses; ++c) {
+            while (Link* link = heads_[c]) {
+                unpoison(link, (c + 1) * kGranule);
+                heads_[c] = link->next;
+                ::operator delete(link, (c + 1) * kGranule);
+            }
+        }
+    }
+
+  private:
+    struct Link {
+        Link* next;
+    };
+
+    static void
+    poison([[maybe_unused]] void* p, [[maybe_unused]] size_t n) noexcept
+    {
+#ifdef LFS_FRAME_POOL_ASAN
+        ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+    }
+
+    static void
+    unpoison([[maybe_unused]] void* p, [[maybe_unused]] size_t n) noexcept
+    {
+#ifdef LFS_FRAME_POOL_ASAN
+        ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
+    }
+
+    static inline thread_local Link* heads_[kClasses] = {};
+};
+
+/** Routes a promise type's frame allocation through FramePool. */
+struct PooledFrame {
+    static void* operator new(size_t n) { return FramePool::allocate(n); }
+
+    static void
+    operator delete(void* p, size_t n) noexcept
+    {
+        FramePool::deallocate(p, n);
+    }
+};
 
 /** Resumes the awaiting coroutine (if any) when a task finishes. */
 struct FinalAwaiter {
@@ -41,7 +164,7 @@ struct FinalAwaiter {
     void await_resume() const noexcept {}
 };
 
-struct TaskPromiseBase {
+struct TaskPromiseBase : PooledFrame {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
 
@@ -167,7 +290,7 @@ TaskPromise<void>::get_return_object()
  * own lifetime (it is destroyed automatically when it runs to completion).
  */
 struct Detached {
-    struct promise_type {
+    struct promise_type : detail::PooledFrame {
         Detached get_return_object() { return {}; }
         std::suspend_never initial_suspend() noexcept { return {}; }
         std::suspend_never final_suspend() noexcept { return {}; }

@@ -24,7 +24,7 @@ LockTable::lock(ns::INodeId id, bool exclusive)
     Row& row = rows_[id];
     // FIFO fairness: a request must queue if anyone is already waiting,
     // even if its mode would be compatible with current holders.
-    if (row.waiters.empty() && grantable(row, exclusive)) {
+    if (row.head == nullptr && grantable(row, exclusive)) {
         if (exclusive) {
             row.exclusive = true;
         } else {
@@ -34,29 +34,35 @@ LockTable::lock(ns::INodeId id, bool exclusive)
     }
     struct Enqueue {
         Row& row;
-        bool exclusive;
+        Waiter waiter;
         bool await_ready() const noexcept { return false; }
         void
-        await_suspend(std::coroutine_handle<> h)
+        await_suspend(std::coroutine_handle<> h) noexcept
         {
-            row.waiters.push_back(Waiter{h, exclusive});
+            waiter.handle = h;
+            if (row.tail == nullptr) {
+                row.head = &waiter;
+            } else {
+                row.tail->next = &waiter;
+            }
+            row.tail = &waiter;
         }
         void await_resume() const noexcept {}
     };
-    co_await Enqueue{row, exclusive};
+    co_await Enqueue{row, Waiter{{}, nullptr, exclusive}};
     // drain() granted the lock before resuming us.
 }
 
 sim::Task<void>
 LockTable::lock_shared(ns::INodeId id)
 {
-    co_await lock(id, /*exclusive=*/false);
+    return lock(id, /*exclusive=*/false);
 }
 
 sim::Task<void>
 LockTable::lock_exclusive(ns::INodeId id)
 {
-    co_await lock(id, /*exclusive=*/true);
+    return lock(id, /*exclusive=*/true);
 }
 
 sim::Task<void>
@@ -79,9 +85,13 @@ LockTable::drain(ns::INodeId id)
     Row& row = it->second;
     // Grant the head waiter; if it is shared, batch all consecutive
     // shared waiters behind it.
-    while (!row.waiters.empty() && grantable(row, row.waiters.front().exclusive)) {
-        Waiter w = row.waiters.front();
-        row.waiters.pop_front();
+    while (row.head != nullptr && grantable(row, row.head->exclusive)) {
+        // Copy out before scheduling: the waiter dies with its frame.
+        const Waiter w = *row.head;
+        row.head = w.next;
+        if (row.head == nullptr) {
+            row.tail = nullptr;
+        }
         if (w.exclusive) {
             row.exclusive = true;
         } else {
@@ -92,7 +102,7 @@ LockTable::drain(ns::INodeId id)
             break;
         }
     }
-    if (row.waiters.empty() && row.shared == 0 && !row.exclusive) {
+    if (row.head == nullptr && row.shared == 0 && !row.exclusive) {
         rows_.erase(it);
     }
 }

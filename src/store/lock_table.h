@@ -10,7 +10,6 @@
  */
 #pragma once
 
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,14 +66,22 @@ class LockTable {
     size_t active_subtree_ops() const { return subtree_roots_.size(); }
 
   private:
+    /**
+     * A queued lock request. It lives in the suspended lock() frame (in
+     * the co_await's awaiter), so queueing allocates nothing; drain()
+     * unlinks it before scheduling the resume.
+     */
     struct Waiter {
         std::coroutine_handle<> handle;
-        bool exclusive;
+        Waiter* next = nullptr;
+        bool exclusive = false;
     };
+    /** Holders plus an intrusive FIFO of waiters (head..tail). */
     struct Row {
         int shared = 0;
         bool exclusive = false;
-        std::deque<Waiter> waiters;
+        Waiter* head = nullptr;
+        Waiter* tail = nullptr;
     };
 
     /** True if a lock of the given mode can be granted right now. */

@@ -103,25 +103,7 @@ MetadataStore::shard_index(const std::string& parent_path) const
 size_t
 MetadataStore::shard_index_of_parent(std::string_view p) const
 {
-    // Hash "/comp" for every component but the last — byte-identical to
-    // fnv1a(path::parent(p)), including the bare "/" root-parent case.
-    uint64_t h = kFnv1aBasis;
-    std::string_view prev;
-    bool have_prev = false;
-    bool hashed = false;
-    for (std::string_view c : path::PathView(p)) {
-        if (have_prev) {
-            h = fnv1a_mix(h, "/");
-            h = fnv1a_mix(h, prev);
-            hashed = true;
-        }
-        prev = c;
-        have_prev = true;
-    }
-    if (!hashed) {
-        h = fnv1a_mix(h, "/");
-    }
-    return h % shards_.size();
+    return path::parent_hash(p) % shards_.size();
 }
 
 DataNode&
@@ -172,8 +154,13 @@ MetadataStore::apply_read(const Op& op) const
             result.status = Status::failed_precondition("not a file: " + op.path);
             return result;
         }
-        result.chain = resolved->chain;
+        if (!ns::check_access(resolved->target(), op.user,
+                              ns::Access::kRead)) {
+            result.status = Status::permission_denied("no read on " + op.path);
+            return result;
+        }
         result.inode = resolved->target();
+        result.chain = std::move(resolved->chain);
         result.via_symlink = resolved->via_symlink;
         break;
       }
@@ -184,8 +171,8 @@ MetadataStore::apply_read(const Op& op) const
             result.status = resolved.status();
             return result;
         }
-        result.chain = resolved->chain;
         result.inode = resolved->target();
+        result.chain = std::move(resolved->chain);
         result.via_symlink = resolved->via_symlink;
         break;
       }
@@ -195,10 +182,10 @@ MetadataStore::apply_read(const Op& op) const
             result.status = resolved.status();
             return result;
         }
-        result.chain = resolved->chain;
         result.inode = resolved->target();
+        result.chain = std::move(resolved->chain);
         result.via_symlink = resolved->via_symlink;
-        auto listed = tree_.list(op.path, op.user);
+        auto listed = tree_.list_resolved(result.inode, op.path, op.user);
         if (!listed.ok()) {
             result.status = listed.status();
             return result;
@@ -344,17 +331,18 @@ MetadataStore::write_lock_set(const Op& op) const
     // Id-centric resolve: lock-set computation walks inode ids and never
     // materializes INode views (the chains were thrown away here before).
     std::vector<ns::INodeId> ids;
+    ids.reserve(3);
     ns::IdChain chain;
-    auto add_path = [&](const std::string& p) {
+    auto add_path = [&](std::string_view p) {
         ns::UserContext root;  // lock-set computation ignores permissions
         if (tree_.resolve_ids(p, root, ns::Follow::kFinal, &chain).ok()) {
             ids.push_back(chain.back());
         }
     };
-    add_path(path::parent(op.path));
+    add_path(path::parent_view(op.path));
     add_path(op.path);
     if (has_dst_path(op.type)) {
-        add_path(path::parent(op.dst));
+        add_path(path::parent_view(op.dst));
     }
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -365,6 +353,7 @@ std::vector<ns::INodeId>
 MetadataStore::read_lock_set(const std::string& p) const
 {
     std::vector<ns::INodeId> ids;
+    ids.reserve(2);
     ns::UserContext root;
     ns::IdChain chain;
     if (tree_.resolve_ids(p, root, ns::Follow::kFinal, &chain).ok()) {
@@ -373,8 +362,8 @@ MetadataStore::read_lock_set(const std::string& p) const
             ids.push_back(chain[chain.size() - 2]);
         }
     } else if (tree_
-                   .resolve_ids(path::parent(p), root, ns::Follow::kFinal,
-                                &chain)
+                   .resolve_ids(path::parent_view(p), root,
+                                ns::Follow::kFinal, &chain)
                    .ok()) {
         ids.push_back(chain.back());
     }

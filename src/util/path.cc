@@ -1,5 +1,7 @@
 #include "src/util/path.h"
 
+#include "src/util/hash.h"
+
 namespace lfs::path {
 
 bool
@@ -80,6 +82,25 @@ parent_view(std::string_view p)
         return "/";
     }
     return p.substr(0, end);
+}
+
+uint64_t
+parent_hash(std::string_view p)
+{
+    // Fold "/comp" for every component but the last.
+    uint64_t h = kFnv1aBasis;
+    std::string_view prev;
+    bool have_prev = false;
+    bool hashed = false;
+    for (std::string_view c : PathView(p)) {
+        if (have_prev) {
+            h = fnv1a_mix(fnv1a_mix(h, "/"), prev);
+            hashed = true;
+        }
+        prev = c;
+        have_prev = true;
+    }
+    return hashed ? h : fnv1a_mix(h, "/");
 }
 
 std::string_view

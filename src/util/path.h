@@ -13,6 +13,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -112,6 +113,13 @@ std::string parent(std::string_view p);
  * cache), never as a map key.
  */
 std::string_view parent_view(std::string_view p);
+
+/**
+ * FNV-1a hash of parent(@p p), folded component by component without
+ * building the parent string: parent_hash(p) == fnv1a(parent(p)) for
+ * every p, normalized or not (the "/" root parent included).
+ */
+uint64_t parent_hash(std::string_view p);
 
 /** Final component ("/a/b" -> "b"; "/" -> ""). */
 std::string basename(std::string_view p);

@@ -8,13 +8,18 @@
 
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/core/partitioning.h"
 #include "src/core/tcp_registry.h"
 #include "src/faas/function_instance.h"
 #include "src/namespace/op.h"
 #include "src/sim/simulation.h"
+#include "src/util/hash.h"
+#include "src/util/path.h"
 
 namespace lfs::core {
 namespace {
@@ -68,6 +73,46 @@ TEST(Partitioner, WriteTargetsCoverPathAndParentHomes)
     EXPECT_TRUE(target_set.count(partitioner.deployment_for(p)));
     EXPECT_TRUE(target_set.count(partitioner.deployment_for("/a/b")));
     EXPECT_LE(targets.size(), 2u);  // deduplicated
+}
+
+TEST(Partitioner, RoutingHashEqualsRingLookupOfParentString)
+{
+    // deployment_for folds the parent's components straight into the
+    // ring hash; it must land where hashing the parent string does, for
+    // normalized and un-normalized paths alike.
+    constexpr int kDeployments = 16;
+    NamespacePartitioner partitioner(kDeployments);
+    ConsistentHashRing ring;
+    for (int d = 0; d < kDeployments; ++d) {
+        ring.add_member(d);
+    }
+    std::vector<std::string> paths = {"/",      "//",     "/a",
+                                      "/a/",    "//a//b/", "/a/b/c",
+                                      "///x//", "/a/b/c/d/e/f/g"};
+    const std::vector<std::string> names = {"a", "bb", "dir7", "file_0123",
+                                            "x.y", "long_component_name"};
+    std::mt19937 rng(12);
+    for (int i = 0; i < 2000; ++i) {
+        std::string p;
+        const int depth = static_cast<int>(rng() % 7);
+        for (int c = 0; c < depth; ++c) {
+            p.append(1 + rng() % 3, '/');
+            p += names[rng() % names.size()];
+        }
+        p.append(p.empty() ? 1 + rng() % 2 : rng() % 3, '/');
+        paths.push_back(p);
+    }
+    for (const std::string& p : paths) {
+        const std::string parent = path::parent(p);
+        EXPECT_EQ(path::parent_hash(p), fnv1a(parent)) << p;
+        EXPECT_EQ(partitioner.deployment_for(p), ring.lookup(parent)) << p;
+        std::vector<int> expected{ring.lookup(parent)};
+        const int grandparent_home = ring.lookup(path::parent(parent));
+        if (grandparent_home != expected[0]) {
+            expected.push_back(grandparent_home);
+        }
+        EXPECT_EQ(partitioner.write_target_deployments(p), expected) << p;
+    }
 }
 
 TEST(Partitioner, AllDeploymentsEnumerates)

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
@@ -181,6 +183,85 @@ TEST(CrossSystem, SpotifyWorkloadCompletesOnAllSystems)
         config.clients_per_vm = 16;
         cephfs::CephFs fs(sim, config);
         run(fs, sim);
+    }
+}
+
+sim::Task<void>
+co_execute(workload::DfsClient& client, Op op, OpResult& out)
+{
+    out = co_await client.execute(std::move(op));
+}
+
+/** Open @p p for read as @p user, on a freshly started @p dfs. */
+Code
+read_file_as(Simulation& sim, workload::Dfs& dfs, ns::UserContext user,
+             const std::string& p)
+{
+    Op op;
+    op.type = OpType::kReadFile;
+    op.path = p;
+    op.user = user;
+    OpResult out;
+    sim::spawn(co_execute(dfs.client(0), std::move(op), out));
+    sim.run_until(sim.now() + sim::sec(30));
+    return out.status.code();
+}
+
+TEST(CrossSystem, OpenForReadChecksReadPermissionEverywhere)
+{
+    // A 0600 file owned by uid 1000: another user may stat the path but
+    // must not open the file for read — the store-backed systems (λFS,
+    // HopsFS) agree with CephFS. The first read runs on cold caches, so
+    // it reaches the authoritative check.
+    const ns::UserContext owner{1000, 1000};
+    const ns::UserContext other{2000, 2000};
+    auto check = [&](workload::Dfs& dfs, Simulation& sim) {
+        ns::NamespaceTree& tree = dfs.authoritative_tree();
+        const ns::UserContext root;
+        ASSERT_TRUE(tree.mkdirs("/home", root, 0).ok());
+        ASSERT_TRUE(tree.create_file("/home/secret", root, 0).ok());
+        AttrUpdate chown;
+        chown.mask = AttrUpdate::kMode | AttrUpdate::kOwner |
+                     AttrUpdate::kGroup;
+        chown.mode = 0600;
+        chown.owner = owner.uid;
+        chown.group = owner.gid;
+        ASSERT_TRUE(tree.setattr("/home/secret", chown, root, 0).ok());
+        sim.run_until(sim::sec(5));
+        EXPECT_EQ(read_file_as(sim, dfs, other, "/home/secret"),
+                  Code::kPermissionDenied)
+            << dfs.name();
+        EXPECT_EQ(read_file_as(sim, dfs, owner, "/home/secret"), Code::kOk)
+            << dfs.name();
+    };
+    {
+        Simulation sim;
+        core::LambdaFsConfig config;
+        config.total_vcpus = 32.0;
+        config.function.vcpus = 2.0;
+        config.num_deployments = 4;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        core::LambdaFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        hopsfs::HopsFsConfig config;
+        config.num_name_nodes = 2;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        hopsfs::HopsFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        cephfs::CephFsConfig config;
+        config.num_mds = 2;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        cephfs::CephFs fs(sim, config);
+        check(fs, sim);
     }
 }
 

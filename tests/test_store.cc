@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/network.h"
@@ -144,6 +145,66 @@ TEST(LockTable, OrderedAcquisitionAvoidsDeadlock)
     }
     sim.run();
     EXPECT_EQ(completed, 100);
+}
+
+using Grants = std::vector<std::pair<std::string, sim::SimTime>>;
+
+Task<void>
+co_log_grant(Simulation& sim, LockTable& locks, ns::INodeId id,
+             bool exclusive, sim::SimTime start, sim::SimTime hold,
+             Grants& grants, std::string name)
+{
+    co_await sim::delay(sim, start);
+    if (exclusive) {
+        co_await locks.lock_exclusive(id);
+    } else {
+        co_await locks.lock_shared(id);
+    }
+    grants.emplace_back(std::move(name), sim.now());
+    co_await sim::delay(sim, hold);
+    if (exclusive) {
+        locks.unlock_exclusive(id);
+    } else {
+        locks.unlock_shared(id);
+    }
+}
+
+TEST(LockTable, GrantOrderIsFifoWithBatchedSharedGrantsPerRow)
+{
+    Simulation sim;
+    LockTable locks(sim);
+    const auto ms = [](int n) { return sim::msec(n); };
+    // Row 1: a writer holds; readers, a writer and more readers queue.
+    // The two readers ahead of w3 are granted together; w3 waits for
+    // both; the readers behind w3 are granted together after it.
+    Grants row1;
+    sim::spawn(co_log_grant(sim, locks, 1, true, 0, ms(10), row1, "w0"));
+    sim::spawn(co_log_grant(sim, locks, 1, false, ms(1), ms(5), row1, "r1"));
+    sim::spawn(co_log_grant(sim, locks, 1, false, ms(2), ms(6), row1, "r2"));
+    sim::spawn(co_log_grant(sim, locks, 1, true, ms(3), ms(4), row1, "w3"));
+    sim::spawn(co_log_grant(sim, locks, 1, false, ms(4), ms(2), row1, "r4"));
+    sim::spawn(co_log_grant(sim, locks, 1, false, ms(5), ms(2), row1, "r5"));
+    // Row 2, interleaved in time: its queue is independent of row 1's.
+    Grants row2;
+    sim::spawn(co_log_grant(sim, locks, 2, false, 0, ms(8), row2, "s0"));
+    sim::spawn(co_log_grant(sim, locks, 2, true, ms(1), ms(3), row2, "x1"));
+    sim::spawn(co_log_grant(sim, locks, 2, false, ms(2), ms(1), row2, "s2"));
+    // Row 3: a lone exclusive request is granted at once.
+    Grants row3;
+    sim::spawn(co_log_grant(sim, locks, 3, true, ms(3), ms(1), row3, "e0"));
+    sim.run();
+
+    EXPECT_EQ(row1, (Grants{{"w0", 0},
+                            {"r1", ms(10)},
+                            {"r2", ms(10)},
+                            {"w3", ms(16)},
+                            {"r4", ms(20)},
+                            {"r5", ms(20)}}));
+    EXPECT_EQ(row2, (Grants{{"s0", 0}, {"x1", ms(8)}, {"s2", ms(11)}}));
+    EXPECT_EQ(row3, (Grants{{"e0", ms(3)}}));
+    for (ns::INodeId id : {1, 2, 3}) {
+        EXPECT_FALSE(locks.is_locked(id)) << id;
+    }
 }
 
 TEST(LockTable, SubtreeOverlapDetection)
