@@ -12,6 +12,9 @@
  *   semaphore_chain  contended Semaphore FIFO hand-off between processes
  *   task_chain       one RPC's shape: spawn, then depth-4 nested Task
  *                    awaits over delay() (the coroutine-frame pool path)
+ *   timeout_cancel   the client's RPC race: arm a 200 ms timeout per RPC
+ *                    and cancel it when the ~1 ms reply wins (the
+ *                    cancellable-event path)
  *   tracing_overhead disabled-tracer start_span vs no call at all; asserts
  *                    the disabled path costs <5% (one branch, §ISSUE-5)
  *   attribution      end-to-end λFS stat microbench with the attribution
@@ -266,6 +269,53 @@ run_task_chain()
     return sim.events_executed();
 }
 
+int
+timed_out()
+{
+    return -1;
+}
+
+sim::Task<void>
+co_reply(sim::Simulation& sim, sim::OneShot<int>* cell, sim::SimTime after)
+{
+    co_await sim::delay(sim, after);
+    cell->try_set(1);
+}
+
+sim::Task<void>
+co_timeout_client(sim::Simulation& sim, int rpcs, uint64_t rng)
+{
+    for (int i = 0; i < rpcs; ++i) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        sim::OneShot<int> cell(sim);
+        cell.expire_after(sim::msec(200), &timed_out);
+        sim::spawn(co_reply(sim, &cell,
+                            sim::usec(500 + static_cast<int64_t>(rng % 1000))));
+        co_await cell.wait();
+    }
+}
+
+/**
+ * Timer churn: every RPC arms a timeout 200x its reply latency, so
+ * without cancellation ~200 dead timers per client would sit in the heap
+ * and each would run as a no-op. Counts the events that do run.
+ */
+uint64_t
+run_timeout_cancel()
+{
+    sim::Simulation sim;
+    const int procs = 64;
+    const int rpcs = total_events() / (2 * procs);
+    for (int p = 0; p < procs; ++p) {
+        sim::spawn(co_timeout_client(sim, rpcs,
+                                     0x9E3779B97F4A7C15ull + uint64_t(p)));
+    }
+    sim.run();
+    return sim.events_executed();
+}
+
 /**
  * Satellite: disabled-path overhead audit. The event hot path may touch
  * Tracer/MetricsRegistry only behind a single predictable branch, so a
@@ -499,6 +549,7 @@ main(int argc, char** argv)
     measure_case("coroutine_ping", run_coroutine_ping);
     measure_case("semaphore_chain", run_semaphore_chain);
     measure_case("task_chain", run_task_chain);
+    measure_case("timeout_cancel", run_timeout_cancel);
     bool ok = run_tracing_overhead_audit();
     ok = run_attribution_overhead_audit() && ok;
 

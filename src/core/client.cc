@@ -10,20 +10,6 @@ namespace lfs::core {
 
 namespace {
 
-/** Fire a DEADLINE_EXCEEDED into @p cell after @p timeout. */
-void
-arm_timeout(sim::Simulation& sim, sim::SimTime timeout,
-            std::shared_ptr<sim::OneShot<OpResult>> cell)
-{
-    sim.schedule(timeout, [cell = std::move(cell)] {
-        if (!cell->is_set()) {
-            OpResult result;
-            result.status = Status::deadline_exceeded("client-side timeout");
-            cell->try_set(std::move(result));
-        }
-    });
-}
-
 /**
  * One TCP round racing into @p cell: hop, serve, hop back. A response
  * from an instance that died mid-request is never delivered — a
@@ -127,7 +113,7 @@ LfsClient::issue_tcp(faas::FunctionInstance* instance, faas::Invocation inv,
 {
     ++tcp_rpcs_;
     auto cell = std::make_shared<sim::OneShot<OpResult>>(rt_.sim);
-    arm_timeout(rt_.sim, timeout, cell);
+    cell->expire_after(timeout, &client_timeout_result);
     // A dropped request never reaches the server (nothing is spawned);
     // a duplicated request races two identical rounds into the same
     // cell — server-side dedup makes the second a retained-result hit.
@@ -150,7 +136,7 @@ LfsClient::issue_http(int deployment, faas::Invocation inv,
 {
     ++http_rpcs_;
     auto cell = std::make_shared<sim::OneShot<OpResult>>(rt_.sim);
-    arm_timeout(rt_.sim, timeout, cell);
+    cell->expire_after(timeout, &client_timeout_result);
     auto request_fault = rt_.network.message_fault(
         sim::FaultChannel::kGateway, sim::MessageDirection::kRequest,
         deployment);

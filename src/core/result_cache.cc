@@ -1,10 +1,124 @@
 #include "src/core/result_cache.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace lfs::core {
+
+void
+ResultCache::Retained::assign(const OpResult& r)
+{
+    status = r.status;
+    inode = r.inode;
+    children = r.children;
+    inodes_touched = r.inodes_touched;
+    stats = r.stats;
+    cache_hit = r.cache_hit;
+    via_symlink = r.via_symlink;
+}
+
+OpResult
+ResultCache::Retained::to_result() const
+{
+    OpResult r;
+    r.status = status;
+    r.inode = inode;
+    r.children = children;
+    r.inodes_touched = inodes_touched;
+    r.stats = stats;
+    r.cache_hit = cache_hit;
+    r.via_symlink = via_symlink;
+    return r;
+}
 
 ResultCache::ResultCache(sim::Simulation& sim, size_t capacity)
     : sim_(sim), capacity_(capacity)
 {
+}
+
+size_t
+ResultCache::home(uint64_t op_id) const
+{
+    // Fibonacci hashing: op ids differ in their low (sequence) and high
+    // (client) bits, and only the product's top bits depend on both.
+    return static_cast<size_t>((op_id * 0x9e3779b97f4a7c15ULL) >>
+                               index_shift_);
+}
+
+ResultCache::Cell*
+ResultCache::find(uint64_t op_id)
+{
+    if (index_.empty()) {
+        return nullptr;
+    }
+    const size_t mask = index_.size() - 1;
+    for (size_t i = home(op_id);; i = (i + 1) & mask) {
+        if (index_[i].op_id == op_id) {
+            return &index_[i];
+        }
+        if (index_[i].op_id == 0) {
+            return nullptr;
+        }
+    }
+}
+
+void
+ResultCache::insert(uint64_t op_id, uint32_t slot)
+{
+    if (4 * (index_used_ + 1) > 3 * index_.size()) {
+        std::vector<Cell> old = std::move(index_);
+        index_.assign(std::max<size_t>(16, 2 * old.size()), Cell{});
+        index_shift_ = 64 - std::countr_zero(index_.size());
+        index_used_ = 0;
+        for (const Cell& c : old) {
+            if (c.op_id != 0) {
+                insert(c.op_id, c.slot);
+            }
+        }
+    }
+    const size_t mask = index_.size() - 1;
+    size_t i = home(op_id);
+    while (index_[i].op_id != 0) {
+        i = (i + 1) & mask;
+    }
+    index_[i] = Cell{op_id, slot};
+    ++index_used_;
+}
+
+void
+ResultCache::erase(uint64_t op_id)
+{
+    const size_t mask = index_.size() - 1;
+    size_t hole = static_cast<size_t>(find(op_id) - index_.data());
+    // Pull later cells of the probe run back over the hole when the hole
+    // lies between their home and their current position.
+    for (size_t j = (hole + 1) & mask; index_[j].op_id != 0;
+         j = (j + 1) & mask) {
+        size_t h = home(index_[j].op_id);
+        if (((j - h) & mask) >= ((j - hole) & mask)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole] = Cell{};
+    --index_used_;
+}
+
+uint32_t
+ResultCache::claim_slot()
+{
+    if (ring_.size() < capacity_) {
+        if (ring_.size() == ring_.capacity()) {
+            ring_.reserve(std::min(capacity_,
+                                   std::max<size_t>(16, 2 * ring_.size())));
+        }
+        ring_.emplace_back();
+        return static_cast<uint32_t>(ring_.size() - 1);
+    }
+    auto slot = static_cast<uint32_t>(oldest_);
+    oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
+    erase(ring_[slot].op_id);
+    return slot;
 }
 
 sim::Task<std::optional<OpResult>>
@@ -13,23 +127,25 @@ ResultCache::lookup_or_begin(uint64_t op_id)
     if (op_id == 0 || capacity_ == 0) {
         co_return std::nullopt;
     }
-    auto done = done_.find(op_id);
-    if (done != done_.end()) {
-        ++hits_;
-        co_return done->second;
+    const Cell* cell = find(op_id);
+    if (cell == nullptr) {
+        insert(op_id, kInFlight);
+        co_return std::nullopt;
     }
-    auto inflight = pending_.find(op_id);
-    if (inflight != pending_.end()) {
-        // Join the original execution: shared_ptr keeps the entry alive
-        // across complete()'s erase, and coroutines always run to
-        // completion in this simulator, so the gate is guaranteed to open.
-        std::shared_ptr<Pending> entry = inflight->second;
-        ++hits_;
-        co_await entry->gate.wait();
-        co_return entry->result;
+    ++hits_;
+    if (cell->slot != kInFlight) {
+        co_return ring_[cell->slot].result.to_result();
     }
-    pending_.emplace(op_id, std::make_shared<Pending>(sim_));
-    co_return std::nullopt;
+    // Join the original execution: shared_ptr keeps the entry alive
+    // across complete()'s erase, and coroutines always run to
+    // completion in this simulator, so the gate is guaranteed to open.
+    std::shared_ptr<Pending>& joined = joined_[op_id];
+    if (!joined) {
+        joined = std::make_shared<Pending>(sim_);
+    }
+    std::shared_ptr<Pending> entry = joined;
+    co_await entry->gate.wait();
+    co_return entry->result.to_result();
 }
 
 void
@@ -38,18 +154,25 @@ ResultCache::complete(uint64_t op_id, const OpResult& result)
     if (op_id == 0 || capacity_ == 0) {
         return;
     }
-    auto inflight = pending_.find(op_id);
-    if (inflight != pending_.end()) {
-        inflight->second->result = result;
-        inflight->second->gate.set();
-        pending_.erase(inflight);
+    const Cell* cell = find(op_id);
+    if (cell != nullptr && cell->slot != kInFlight) {
+        return;  // already done: the first completion wins
     }
-    if (done_.emplace(op_id, result).second) {
-        order_.push_back(op_id);
-        while (order_.size() > capacity_) {
-            done_.erase(order_.front());
-            order_.pop_front();
+    if (!joined_.empty()) {
+        auto it = joined_.find(op_id);
+        if (it != joined_.end()) {
+            it->second->result.assign(result);
+            it->second->gate.set();
+            joined_.erase(it);
         }
+    }
+    uint32_t slot = claim_slot();  // may move cells: look op_id up again
+    ring_[slot].op_id = op_id;
+    ring_[slot].result.assign(result);
+    if (Cell* c = find(op_id); c != nullptr) {
+        c->slot = slot;
+    } else {
+        insert(op_id, slot);
     }
 }
 

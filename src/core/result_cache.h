@@ -23,14 +23,24 @@
  * In the real system this table lives in the serverless functions'
  * shared persistent store; the simulator charges the lookup through the
  * NameNode's compute path at its call sites.
+ *
+ * Layout (DESIGN.md §10): done results sit in a FIFO ring that grows as
+ * results arrive, up to capacity, and then overwrites its oldest slot —
+ * the eviction order of an insertion-ordered queue. An open-addressing
+ * op_id table indexes the ring and marks in-flight ids. A slot keeps only
+ * what a resubmitting client can observe (no resolved chain, ledger or
+ * trace id), and its strings and vectors are reused in place, so a warm
+ * lookup/complete round allocates nothing. A completion gate exists only
+ * for ids a duplicate actually joined.
  */
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/namespace/op.h"
 #include "src/sim/primitives.h"
@@ -60,18 +70,59 @@ class ResultCache {
     uint64_t hits() const { return hits_; }
 
   private:
+    /** The fields of an OpResult a resubmitted client can observe. */
+    struct Retained {
+        Status status;
+        ns::INode inode;
+        std::vector<std::string> children;
+        int64_t inodes_touched = 1;
+        ns::FsStats stats;
+        bool cache_hit = false;
+        bool via_symlink = false;
+
+        /** Copy-assign from @p r, reusing this slot's buffers. */
+        void assign(const OpResult& r);
+        OpResult to_result() const;
+    };
+
+    struct Slot {
+        uint64_t op_id = 0;
+        Retained result;
+    };
+
+    /** An in-flight id that a duplicate joined. */
     struct Pending {
         explicit Pending(sim::Simulation& sim) : gate(sim) {}
         sim::Gate gate;
-        OpResult result;
+        Retained result;
     };
+
+    /** Index cell: op_id (0 = empty) -> ring slot, or kInFlight. */
+    struct Cell {
+        uint64_t op_id = 0;
+        uint32_t slot = 0;
+    };
+    static constexpr uint32_t kInFlight = ~uint32_t{0};
+
+    size_t home(uint64_t op_id) const;
+    /** The cell holding @p op_id, or nullptr. */
+    Cell* find(uint64_t op_id);
+    /** Map @p op_id (absent) to @p slot, growing the table under load. */
+    void insert(uint64_t op_id, uint32_t slot);
+    /** Remove @p op_id (present) by backward-shift deletion. */
+    void erase(uint64_t op_id);
+    /** The ring slot for the next done result, evicting the oldest. */
+    uint32_t claim_slot();
 
     sim::Simulation& sim_;
     size_t capacity_;
     uint64_t hits_ = 0;
-    std::unordered_map<uint64_t, OpResult> done_;
-    std::deque<uint64_t> order_;  ///< done_ keys, insertion order (eviction)
-    std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending_;
+    std::vector<Slot> ring_;  ///< done results; wraps once at capacity_
+    size_t oldest_ = 0;       ///< slot to overwrite next once ring_ is full
+    std::vector<Cell> index_; ///< linear probing, power-of-two size
+    size_t index_used_ = 0;
+    int index_shift_ = 64;    ///< 64 - log2(index_.size())
+    std::unordered_map<uint64_t, std::shared_ptr<Pending>> joined_;
 };
 
 }  // namespace lfs::core

@@ -114,8 +114,16 @@ FunctionInstance::schedule_idle_check()
     if (config_.idle_reclaim <= 0) {
         return;  // reclamation disabled
     }
+    // The previous check can only pass while last_activity_ still equals
+    // its snapshot; once activity has moved past it the check is a
+    // certain no-op, so drop it instead of leaving it queued for the
+    // rest of idle_reclaim.
+    if (last_activity_ > idle_check_snapshot_) {
+        sim_.cancel(idle_check_);
+    }
     sim::SimTime snapshot = last_activity_;
-    sim_.schedule(config_.idle_reclaim, [this, snapshot] {
+    idle_check_snapshot_ = snapshot;
+    idle_check_ = sim_.schedule(config_.idle_reclaim, [this, snapshot] {
         if (alive() && inflight_ == 0 && last_activity_ == snapshot) {
             kill();
         }

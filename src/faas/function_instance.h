@@ -189,6 +189,8 @@ class FunctionInstance {
     sim::SimTime created_at_;
     sim::SimTime died_at_ = -1;
     sim::SimTime last_activity_;
+    sim::Simulation::EventId idle_check_;  ///< latest idle-check event
+    sim::SimTime idle_check_snapshot_ = 0;  ///< its last_activity_ snapshot
     sim::SimTime busy_since_ = -1;
     sim::SimTime busy_accum_ = 0;
     sim::Counter requests_;

@@ -121,14 +121,7 @@ HopsClient::execute(Op op)
         sim::SimTime timeout = is_subtree_op(op.type)
                                    ? sim::sec(1800)
                                    : fs_.config().request_timeout;
-        fs_.simulation().schedule(timeout, [cell] {
-            if (!cell->is_set()) {
-                OpResult timed_out;
-                timed_out.status =
-                    Status::deadline_exceeded("client-side timeout");
-                cell->try_set(std::move(timed_out));
-            }
-        });
+        cell->expire_after(timeout, &client_timeout_result);
         sim::spawn(co_run_into(co_nn_round(fs_.network(), nn, op), cell));
         result = co_await cell->wait();
         if (attr) {

@@ -16,19 +16,6 @@ co_run_into(sim::Task<OpResult> task,
     cell->try_set(std::move(result));
 }
 
-void
-arm_timeout(sim::Simulation& sim, sim::SimTime timeout,
-            std::shared_ptr<sim::OneShot<OpResult>> cell)
-{
-    sim.schedule(timeout, [cell] {
-        if (!cell->is_set()) {
-            OpResult result;
-            result.status = Status::deadline_exceeded("client-side timeout");
-            cell->try_set(std::move(result));
-        }
-    });
-}
-
 sim::Task<OpResult>
 co_tcp_round(net::Network& network, faas::FunctionInstance* instance,
              faas::Invocation inv)
@@ -459,8 +446,8 @@ LambdaIndexClient::execute(Op op)
         } else {
             auto cell = std::make_shared<sim::OneShot<OpResult>>(
                 fs_.simulation());
-            arm_timeout(fs_.simulation(), fs_.config().request_timeout,
-                        cell);
+            cell->expire_after(fs_.config().request_timeout,
+                               &client_timeout_result);
             sim::spawn(co_run_into(
                 co_tcp_round(fs_.network(), conn, std::move(inv)), cell));
             result = co_await cell->wait();

@@ -163,6 +163,18 @@ struct OpResult {
     uint64_t trace_id = 0;
 };
 
+/**
+ * What an RPC client's attempt resolves to when no reply arrives in
+ * time; the factory every client passes to OneShot::expire_after.
+ */
+inline OpResult
+client_timeout_result()
+{
+    OpResult result;
+    result.status = Status::deadline_exceeded("client-side timeout");
+    return result;
+}
+
 inline const char*
 op_name(OpType type)
 {

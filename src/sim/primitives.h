@@ -10,7 +10,8 @@
  * Lifetime rule: a coroutine suspended on one of these primitives must not
  * be destroyed while suspended (the primitive holds a raw handle). In this
  * codebase processes run to completion; cancellation is expressed with
- * OneShot::try_set (e.g. timeouts) instead of frame destruction.
+ * OneShot::try_set (e.g. OneShot::expire_after timeouts) instead of frame
+ * destruction.
  */
 #pragma once
 
@@ -62,6 +63,15 @@ template <typename T>
 class OneShot {
   public:
     explicit OneShot(Simulation& sim) : sim_(sim) {}
+    OneShot(const OneShot&) = delete;
+    OneShot& operator=(const OneShot&) = delete;
+
+    ~OneShot()
+    {
+        if (timer_) {
+            sim_.cancel(timer_);
+        }
+    }
 
     /** Set the value if not already set. @return true if this call won. */
     bool
@@ -71,11 +81,31 @@ class OneShot {
             return false;
         }
         value_.emplace(std::move(value));
+        if (timer_) {
+            sim_.cancel(std::exchange(timer_, {}));  // the race is decided
+        }
         if (waiter_) {
             auto h = std::exchange(waiter_, {});
             sim_.schedule(0, h);
         }
         return true;
+    }
+
+    /**
+     * Race the cell against a timer: unless a value wins first, @p make()
+     * is set @p timeout from now. A winning try_set (or the cell's
+     * destruction) cancels the timer, so a timeout costs nothing once the
+     * reply is in. The timer holds only `this` and @p make, well inside
+     * the kernel's inline event buffer.
+     */
+    void
+    expire_after(SimTime timeout, T (*make)())
+    {
+        assert(!timer_ && "one timeout per cell");
+        timer_ = sim_.schedule(timeout, [this, make] {
+            timer_ = {};
+            try_set(make());
+        });
     }
 
     bool is_set() const { return value_.has_value(); }
@@ -102,6 +132,7 @@ class OneShot {
     Simulation& sim_;
     std::optional<T> value_;
     std::coroutine_handle<> waiter_ = {};
+    Simulation::EventId timer_;  ///< pending expire_after timer
 };
 
 /**

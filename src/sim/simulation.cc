@@ -78,9 +78,17 @@ Simulation::~Simulation()
 {
     // Pending payloads are destroyed, never run (matches the previous
     // kernel, where ~priority_queue destroyed the queued std::functions).
-    ring_.for_each([](const RingEntry& entry) { entry.ev->dispose(entry.ev); });
+    // Each node is marked dead first, so a payload whose destructor
+    // cancels another queued event cannot destroy anything twice.
+    auto dispose = [](Event* ev) {
+        if (ev->stamp != Event::kNoStamp) {
+            ev->stamp = Event::kNoStamp;
+            ev->fire(ev, false);
+        }
+    };
+    ring_.for_each([&](const RingEntry& entry) { dispose(entry.ev); });
     for (const HeapEntry& entry : heap_) {
-        entry.ev->dispose(entry.ev);
+        dispose(entry.ev);
     }
     detail::FramePool::release_parked();
 }
@@ -115,14 +123,16 @@ Simulation::reserve_events(size_t n)
     }
 }
 
-void
+Simulation::EventId
 Simulation::push_event(SimTime when, Event* ev)
 {
     uint64_t seq = next_seq_++;
+    uint64_t stamp = seq << 1;
     if (when <= now_) {
         // Due at the current instant: O(1) FIFO append, no heap sift.
         ring_.push(RingEntry{seq, ev});
     } else {
+        stamp |= 1;
         HeapEntry entry{HeapEntry::make_key(when, seq), ev};
         size_t i = heap_.size();
         heap_.push_back(entry);
@@ -136,9 +146,54 @@ Simulation::push_event(SimTime when, Event* ev)
         }
         heap_[i] = entry;
     }
+    ev->stamp = stamp;
     if (pending() > peak_pending_) {
         peak_pending_ = pending();
     }
+    return EventId(ev, stamp);
+}
+
+bool
+Simulation::cancel(EventId id)
+{
+    Event* ev = id.ev_;
+    if (ev == nullptr || ev->stamp != id.stamp_) {
+        return false;  // already ran or already cancelled
+    }
+    // The node stays queued as a tombstone until it reaches a front or
+    // the heap is compacted; only the payload goes now.
+    ev->stamp = Event::kNoStamp;
+    ++dead_;
+    if ((id.stamp_ & 1) != 0) {
+        ++heap_dead_;
+    }
+    ev->fire(ev, false);
+    return true;
+}
+
+void
+Simulation::sift_down(size_t i, HeapEntry entry)
+{
+    size_t n = heap_.size();
+    for (;;) {
+        size_t first = first_child_of(i);
+        if (first >= n) {
+            break;
+        }
+        size_t stop = first + kArity < n ? first + kArity : n;
+        size_t best = first;
+        for (size_t c = first + 1; c < stop; ++c) {
+            if (heap_[c].key < heap_[best].key) {
+                best = c;
+            }
+        }
+        if (heap_[best].key >= entry.key) {
+            break;
+        }
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = entry;
 }
 
 Simulation::HeapEntry
@@ -147,30 +202,42 @@ Simulation::pop_event()
     HeapEntry top = heap_.front();
     HeapEntry last = heap_.back();
     heap_.pop_back();
-    size_t n = heap_.size();
-    if (n > 0) {
-        size_t i = 0;
-        for (;;) {
-            size_t first = first_child_of(i);
-            if (first >= n) {
-                break;
-            }
-            size_t stop = first + kArity < n ? first + kArity : n;
-            size_t best = first;
-            for (size_t c = first + 1; c < stop; ++c) {
-                if (heap_[c].key < heap_[best].key) {
-                    best = c;
-                }
-            }
-            if (heap_[best].key >= last.key) {
-                break;
-            }
-            heap_[i] = heap_[best];
-            i = best;
-        }
-        heap_[i] = last;
+    if (!heap_.empty()) {
+        sift_down(0, last);
     }
     return top;
+}
+
+void
+Simulation::drop_cancelled_slow()
+{
+    while (!ring_.empty() && ring_.front().ev->stamp == Event::kNoStamp) {
+        release_event(ring_.pop().ev);
+        --dead_;
+    }
+    if (2 * heap_dead_ > heap_.size()) {
+        // Tombstones outnumber live entries: drop them all and heapify
+        // the survivors bottom-up (O(n), amortized over the cancels).
+        size_t live = 0;
+        for (const HeapEntry& entry : heap_) {
+            if (entry.ev->stamp == Event::kNoStamp) {
+                release_event(entry.ev);
+            } else {
+                heap_[live++] = entry;
+            }
+        }
+        heap_.resize(live);
+        dead_ -= heap_dead_;
+        heap_dead_ = 0;
+        for (size_t i = live / 2; i-- > 0;) {
+            sift_down(i, heap_[i]);
+        }
+    }
+    while (!heap_.empty() && heap_.front().ev->stamp == Event::kNoStamp) {
+        release_event(pop_event().ev);
+        --heap_dead_;
+        --dead_;
+    }
 }
 
 bool
@@ -179,6 +246,7 @@ Simulation::step()
     if (stopped_) {
         return false;
     }
+    drop_cancelled();
     Event* ev;
     if (!ring_.empty()) {
         // Ring entries are due at now_; a heap event at the same instant
@@ -197,6 +265,7 @@ Simulation::step()
         return false;
     }
     ++executed_;
+    ev->stamp = Event::kNoStamp;  // running: no longer cancellable
     // Release the node only after the payload ran: the callback may
     // schedule (and thus reuse nodes), but never this still-running one.
     struct Releaser {
@@ -204,7 +273,7 @@ Simulation::step()
         Event* ev;
         ~Releaser() { sim->release_event(ev); }
     } releaser{this, ev};
-    ev->invoke(ev);
+    ev->fire(ev, true);
     return true;
 }
 
@@ -220,9 +289,13 @@ Simulation::run_until(SimTime t)
 {
     // Ring entries are due at exactly now_, so they qualify iff now_ <= t
     // (run_until(t) with t in the past must not run future events).
-    while (!stopped_ &&
-           ((!ring_.empty() && now_ <= t) ||
-            (!heap_.empty() && heap_.front().when() <= t))) {
+    // Tombstones go first, so a cancelled event's time never counts.
+    while (!stopped_) {
+        drop_cancelled();
+        if (!((!ring_.empty() && now_ <= t) ||
+              (!heap_.empty() && heap_.front().when() <= t))) {
+            break;
+        }
         step();
     }
     if (!stopped_ && now_ < t) {

@@ -17,6 +17,12 @@
  * so a sift level is one branchless compare plus a memcpy and never
  * touches the payloads. Events due at the current instant bypass the
  * heap entirely through a FIFO ring (NowRing).
+ *
+ * Cancellation: schedule() returns an EventId; cancel() destroys the
+ * payload at once and leaves the queued node behind as a tombstone that
+ * step() discards without touching the clock. When tombstones outnumber
+ * the live heap entries the heap is rebuilt without them (Floyd's
+ * heapify — keys are unique, so the pop order is unchanged).
  */
 #pragma once
 
@@ -93,44 +99,74 @@ class Simulation {
     /** Current simulated time. */
     SimTime now() const { return now_; }
 
+  private:
+    struct Event;
+
+  public:
+    /**
+     * Names one scheduled event for cancel(). A default-constructed id
+     * names nothing. Ids never go stale in a harmful way: once the event
+     * has run or been cancelled, cancelling it again is a no-op.
+     */
+    class EventId {
+      public:
+        EventId() = default;
+        explicit operator bool() const { return ev_ != nullptr; }
+
+      private:
+        friend class Simulation;
+        EventId(Event* ev, uint64_t stamp) : ev_(ev), stamp_(stamp) {}
+        Event* ev_ = nullptr;
+        uint64_t stamp_ = 0;
+    };
+
     /** Schedule @p fn to run @p delay from now. Negative delays clamp to 0. */
     template <typename F>
         requires std::invocable<std::decay_t<F>&>
-    void
+    EventId
     schedule(SimTime delay, F&& fn)
     {
-        schedule_at(delay < 0 ? now_ : now_ + delay, std::forward<F>(fn));
+        return schedule_at(delay < 0 ? now_ : now_ + delay,
+                           std::forward<F>(fn));
     }
 
     /** Schedule @p fn at absolute time @p when (clamped to >= now). */
     template <typename F>
         requires std::invocable<std::decay_t<F>&>
-    void
+    EventId
     schedule_at(SimTime when, F&& fn)
     {
-        push_event(when, make_event(std::forward<F>(fn)));
+        return push_event(when, make_event(std::forward<F>(fn)));
     }
 
     /**
      * Resume @p h after @p delay — the coroutine fast path used by every
      * synchronization primitive: no type erasure, just a handle store.
      */
-    void
+    EventId
     schedule(SimTime delay, std::coroutine_handle<> h)
     {
-        schedule_at(delay < 0 ? now_ : now_ + delay, h);
+        return schedule_at(delay < 0 ? now_ : now_ + delay, h);
     }
 
     /** Resume @p h at absolute time @p when (clamped to >= now). */
-    void
+    EventId
     schedule_at(SimTime when, std::coroutine_handle<> h)
     {
         Event* ev = alloc_event();
-        ev->invoke = &Event::invoke_handle;
-        ev->dispose = &Event::dispose_noop;
+        ev->fire = &Event::fire_handle;
         ev->payload.handle = h;
-        push_event(when, ev);
+        return push_event(when, ev);
     }
+
+    /**
+     * Drop a scheduled event that has not run yet: its payload is
+     * destroyed now and never invoked. A cancelled event does not advance
+     * the clock, counts toward neither events_executed() nor pending(),
+     * and leaves the (when, seq) order of every other event unchanged.
+     * @return true if @p id named a still-queued event.
+     */
+    bool cancel(EventId id);
 
     /**
      * Run the next pending event, advancing the clock to its timestamp.
@@ -159,8 +195,12 @@ class Simulation {
     /** Number of events executed so far (for diagnostics and tests). */
     uint64_t events_executed() const { return executed_; }
 
-    /** Number of events currently queued. */
-    size_t pending() const { return heap_.size() + ring_.size(); }
+    /** Number of events currently queued (cancelled ones excluded). */
+    size_t
+    pending() const
+    {
+        return heap_.size() + ring_.size() - dead_;
+    }
 
     /** High-water mark of pending() over the simulation's lifetime. */
     size_t peak_pending() const { return peak_pending_; }
@@ -181,6 +221,8 @@ class Simulation {
      */
     struct Event {
         static constexpr size_t kInlineBytes = 48;
+        /** stamp of a node that is not a live queued event. */
+        static constexpr uint64_t kNoStamp = ~uint64_t{0};
 
         union Payload {
             Payload() {}
@@ -191,52 +233,55 @@ class Simulation {
             alignas(std::max_align_t) unsigned char buf[kInlineBytes];
         };
 
-        /** Run the payload, then destroy it. */
-        void (*invoke)(Event*);
-        /** Destroy the payload without running it (kernel teardown). */
-        void (*dispose)(Event*);
+        /**
+         * Destroy the payload, running it first when @p run is true
+         * (false: cancellation or kernel teardown).
+         */
+        void (*fire)(Event*, bool run);
+        /**
+         * (seq << 1) | in_heap while the event is queued and live;
+         * kNoStamp once it runs or is cancelled. EventId carries a copy,
+         * so a stale id never matches a recycled node.
+         */
+        uint64_t stamp = kNoStamp;
         Payload payload;
 
-        static void invoke_handle(Event* e) { e->payload.handle.resume(); }
         // Dropping a pending resume leaks the suspended frame by design
         // (see primitives.h lifetime rule) — same as the std::function
         // kernel, which destroyed the [h] lambda without resuming it.
-        static void dispose_noop(Event*) {}
+        static void
+        fire_handle(Event* e, bool run)
+        {
+            if (run) {
+                e->payload.handle.resume();
+            }
+        }
 
         template <typename F>
         static void
-        invoke_inline(Event* e)
+        fire_inline(Event* e, bool run)
         {
             F* f = std::launder(reinterpret_cast<F*>(e->payload.buf));
             struct Destroyer {  // destroy even if (*f)() throws
                 F* f;
                 ~Destroyer() { f->~F(); }
             } d{f};
-            (*f)();
+            if (run) {
+                (*f)();
+            }
         }
 
         template <typename F>
         static void
-        dispose_inline(Event* e)
-        {
-            std::launder(reinterpret_cast<F*>(e->payload.buf))->~F();
-        }
-
-        template <typename F>
-        static void
-        invoke_heap(Event* e)
+        fire_heap(Event* e, bool run)
         {
             std::unique_ptr<F> f(static_cast<F*>(e->payload.heap_fn));
-            (*f)();
-        }
-
-        template <typename F>
-        static void
-        dispose_heap(Event* e)
-        {
-            delete static_cast<F*>(e->payload.heap_fn);
+            if (run) {
+                (*f)();
+            }
         }
     };
+    static_assert(sizeof(Event) == 64, "one cache line per event node");
 
     /**
      * POD heap entry; comparisons never dereference the node. The sort
@@ -336,12 +381,10 @@ class Simulation {
                       alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void*>(ev->payload.buf))
                 Fn(std::forward<F>(fn));
-            ev->invoke = &Event::template invoke_inline<Fn>;
-            ev->dispose = &Event::template dispose_inline<Fn>;
+            ev->fire = &Event::template fire_inline<Fn>;
         } else {
             ev->payload.heap_fn = new Fn(std::forward<F>(fn));
-            ev->invoke = &Event::template invoke_heap<Fn>;
-            ev->dispose = &Event::template dispose_heap<Fn>;
+            ev->fire = &Event::template fire_heap<Fn>;
         }
         return ev;
     }
@@ -364,11 +407,24 @@ class Simulation {
         free_list_ = ev;
     }
 
-    /** Sift the new entry up from the back of the heap. */
-    void push_event(SimTime when, Event* ev);
+    /** Queue @p ev: the NowRing when due now, else the heap. */
+    EventId push_event(SimTime when, Event* ev);
 
     /** Remove and return the minimum entry (heap must be non-empty). */
     HeapEntry pop_event();
+
+    /** Place @p entry at slot @p i or below, restoring the heap order. */
+    void sift_down(size_t i, HeapEntry entry);
+
+    /** Discard tombstones at the queue fronts; compact a dead-heavy heap. */
+    void
+    drop_cancelled()
+    {
+        if (dead_ != 0) {
+            drop_cancelled_slow();
+        }
+    }
+    void drop_cancelled_slow();
 
     /** Allocate a fresh node block, push all but one onto the free list. */
     Event* carve_block();
@@ -382,6 +438,8 @@ class Simulation {
     size_t peak_pending_ = 0;
     std::vector<HeapEntry> heap_;
     NowRing ring_;
+    size_t dead_ = 0;       ///< cancelled nodes still queued (ring + heap)
+    size_t heap_dead_ = 0;  ///< the part of dead_ that sits in heap_
     Event* free_list_ = nullptr;
     std::vector<std::unique_ptr<Event[]>> blocks_;
     size_t next_block_size_ = 256;

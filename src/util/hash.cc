@@ -1,6 +1,8 @@
 #include "src/util/hash.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace lfs {
 
@@ -13,20 +15,34 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+size_t
+ConsistentHashRing::lower_bound(uint64_t point) const
+{
+    return static_cast<size_t>(
+        std::lower_bound(points_.begin(), points_.end(), point) -
+        points_.begin());
+}
+
 void
 ConsistentHashRing::add_member(int id)
 {
     // Idempotence: probe one virtual point for presence.
     uint64_t first =
         mix64(static_cast<uint64_t>(id) * 0x100000001b3ULL + 0);
-    auto it = ring_.find(first);
-    if (it != ring_.end() && it->second == id) {
+    size_t at = lower_bound(first);
+    if (at < points_.size() && points_[at] == first && owners_[at] == id) {
         return;
     }
     for (int v = 0; v < vnodes_; ++v) {
         uint64_t point = mix64(static_cast<uint64_t>(id) * 0x100000001b3ULL +
                                static_cast<uint64_t>(v));
-        ring_[point] = id;
+        size_t i = lower_bound(point);
+        if (i < points_.size() && points_[i] == point) {
+            owners_[i] = id;  // a shared point goes to the newest member
+        } else {
+            points_.insert(points_.begin() + static_cast<ptrdiff_t>(i), point);
+            owners_.insert(owners_.begin() + static_cast<ptrdiff_t>(i), id);
+        }
     }
     ++members_;
 }
@@ -38,9 +54,10 @@ ConsistentHashRing::remove_member(int id)
     for (int v = 0; v < vnodes_; ++v) {
         uint64_t point = mix64(static_cast<uint64_t>(id) * 0x100000001b3ULL +
                                static_cast<uint64_t>(v));
-        auto it = ring_.find(point);
-        if (it != ring_.end() && it->second == id) {
-            ring_.erase(it);
+        size_t i = lower_bound(point);
+        if (i < points_.size() && points_[i] == point && owners_[i] == id) {
+            points_.erase(points_.begin() + static_cast<ptrdiff_t>(i));
+            owners_.erase(owners_.begin() + static_cast<ptrdiff_t>(i));
             ++removed;
         }
     }
@@ -60,12 +77,9 @@ ConsistentHashRing::lookup(std::string_view key) const
 int
 ConsistentHashRing::lookup_hash(uint64_t hash) const
 {
-    assert(!ring_.empty());
-    auto it = ring_.lower_bound(hash);
-    if (it == ring_.end()) {
-        it = ring_.begin();  // wrap around
-    }
-    return it->second;
+    assert(!points_.empty());
+    size_t i = lower_bound(hash);
+    return owners_[i == points_.size() ? 0 : i];  // wrap around
 }
 
 }  // namespace lfs

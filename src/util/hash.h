@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,9 +87,15 @@ class ConsistentHashRing {
     int lookup_hash(uint64_t hash) const;
 
   private:
+    /** Index of the first point >= @p point (points_.size() if none). */
+    size_t lower_bound(uint64_t point) const;
+
     int vnodes_;
     size_t members_ = 0;
-    std::map<uint64_t, int> ring_;  // point on ring -> member id
+    // Ring points in ascending order and the member owning each: lookups
+    // binary-search one dense array instead of chasing map nodes.
+    std::vector<uint64_t> points_;
+    std::vector<int> owners_;
 };
 
 }  // namespace lfs

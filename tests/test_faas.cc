@@ -229,6 +229,33 @@ TEST(Instance, ActivityDefersReclamation)
     EXPECT_EQ(d.alive_count(), 0);
 }
 
+TEST(Instance, SupersededIdleChecksAreDroppedNotRun)
+{
+    FaasFixture f;
+    FunctionConfig config;
+    config.idle_reclaim = sim::sec(5);
+    auto& d = f.platform.create_deployment("nn0", config,
+                                           sleep_app_factory(sim::usec(100)));
+    std::vector<OpResult> results(10);
+    for (int i = 0; i < 10; ++i) {
+        f.sim.schedule(sim::sec(2) * i, [&d, &results, i] {
+            sim::spawn(co_invoke(d, make_invocation("/x"), results[i]));
+        });
+    }
+    f.sim.run_until(sim::sec(19));
+    // Each request's end re-armed the idle check; every earlier check
+    // saw activity move past its snapshot and was cancelled, so only
+    // the newest is still queued.
+    EXPECT_EQ(f.sim.pending(), 1u);
+    ASSERT_EQ(d.alive_count(), 1);
+    const sim::SimTime last = d.alive_instances().front()->last_activity();
+    f.sim.run_until(last + sim::sec(5) - 1);
+    EXPECT_EQ(d.alive_count(), 1);
+    f.sim.run_until(last + sim::sec(5));
+    EXPECT_EQ(d.alive_count(), 0);
+    EXPECT_EQ(f.sim.pending(), 0u);
+}
+
 TEST(Instance, KillMarksRequestsUnavailable)
 {
     FaasFixture f;

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/primitives.h"
@@ -262,6 +264,238 @@ TEST(OneShot, TimeoutRaceResolvedByTrySet)
     }(cell, got));
     sim.run();
     EXPECT_EQ(got, -1);
+}
+
+TEST(OneShot, ExpireAfterSetsTheTimeoutValueWhenNoReplyArrives)
+{
+    Simulation sim;
+    auto cell = std::make_shared<OneShot<int>>(sim);
+    cell->expire_after(msec(10), [] { return -1; });
+    spawn(co_try_set_after(sim, cell, msec(20), 42));
+    int got = 0;
+    spawn([](std::shared_ptr<OneShot<int>> c, int& out) -> Task<void> {
+        out = co_await c->wait();
+    }(cell, got));
+    sim.run_until(msec(15));
+    EXPECT_EQ(got, -1);
+    sim.run();
+    EXPECT_EQ(got, -1);  // the late reply loses
+}
+
+TEST(OneShot, WinningTrySetCancelsTheTimer)
+{
+    Simulation sim;
+    auto cell = std::make_shared<OneShot<int>>(sim);
+    cell->expire_after(msec(200), [] { return -1; });
+    spawn(co_try_set_after(sim, cell, msec(1), 42));
+    int got = 0;
+    spawn([](std::shared_ptr<OneShot<int>> c, int& out) -> Task<void> {
+        out = co_await c->wait();
+    }(cell, got));
+    sim.run();
+    EXPECT_EQ(got, 42);
+    // The 200 ms timer never ran and never moved the clock.
+    EXPECT_EQ(sim.now(), msec(1));
+    EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(OneShot, DestroyingAnUnsetCellCancelsItsTimer)
+{
+    Simulation sim;
+    {
+        OneShot<int> cell(sim);
+        cell.expire_after(msec(5), [] { return -1; });
+        EXPECT_EQ(sim.pending(), 1u);
+    }
+    EXPECT_EQ(sim.pending(), 0u);
+    sim.run();
+    EXPECT_EQ(sim.events_executed(), 0u);
+    EXPECT_EQ(sim.now(), 0);
+}
+
+/**
+ * Event payload for the cancellation tests: records that it ran and
+ * counts its own destructions (moved-from copies do not count).
+ */
+struct Probe {
+    std::vector<int>* ran;
+    std::vector<int>* destroyed;
+    int label;
+    bool armed = true;
+
+    Probe(std::vector<int>* r, std::vector<int>* d, int l)
+        : ran(r), destroyed(d), label(l)
+    {
+    }
+    Probe(Probe&& o) noexcept
+        : ran(o.ran), destroyed(o.destroyed), label(o.label)
+    {
+        o.armed = false;
+    }
+    Probe(const Probe&) = delete;
+    ~Probe()
+    {
+        if (armed) {
+            ++(*destroyed)[static_cast<size_t>(label)];
+        }
+    }
+    void operator()() { ran->push_back(label); }
+};
+
+TEST(SimulationCancel, CancelledEventNeverRunsOrMovesTheClock)
+{
+    Simulation sim;
+    std::vector<int> ran;
+    std::vector<int> destroyed(3, 0);
+    auto a = sim.schedule(msec(10), Probe(&ran, &destroyed, 0));
+    sim.schedule(msec(20), Probe(&ran, &destroyed, 1));
+    auto c = sim.schedule(msec(30), Probe(&ran, &destroyed, 2));
+    EXPECT_EQ(sim.pending(), 3u);
+    EXPECT_TRUE(sim.cancel(a));
+    EXPECT_EQ(destroyed[0], 1);  // the payload goes at cancel time
+    EXPECT_FALSE(sim.cancel(a));  // a second cancel is a no-op
+    EXPECT_FALSE(sim.cancel(Simulation::EventId{}));
+    EXPECT_EQ(sim.pending(), 2u);
+
+    // run_until must not stop on the cancelled event's time.
+    sim.run_until(msec(15));
+    EXPECT_EQ(sim.now(), msec(15));
+    EXPECT_TRUE(ran.empty());
+    EXPECT_TRUE(sim.step());
+    EXPECT_EQ(sim.now(), msec(20));
+    EXPECT_EQ(ran, std::vector<int>{1});
+    EXPECT_TRUE(sim.cancel(c));
+    EXPECT_FALSE(sim.step());  // only a tombstone was left
+    EXPECT_EQ(sim.now(), msec(20));
+    EXPECT_EQ(sim.events_executed(), 1u);
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(destroyed, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(SimulationCancel, RunningEventCannotBeCancelled)
+{
+    Simulation sim;
+    Simulation::EventId self;
+    bool cancelled_self = true;
+    self = sim.schedule(msec(1), [&] { cancelled_self = sim.cancel(self); });
+    sim.run();
+    EXPECT_FALSE(cancelled_self);
+    EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(SimulationCancel, TeardownDestroysEachPendingPayloadOnce)
+{
+    std::vector<int> ran;
+    std::vector<int> destroyed(4, 0);
+    {
+        Simulation sim;
+        sim.schedule(msec(1), Probe(&ran, &destroyed, 0));
+        auto b = sim.schedule(msec(2), Probe(&ran, &destroyed, 1));
+        sim.schedule(0, Probe(&ran, &destroyed, 2));
+        auto d = sim.schedule(0, Probe(&ran, &destroyed, 3));
+        sim.cancel(b);
+        sim.cancel(d);
+    }
+    EXPECT_TRUE(ran.empty());
+    EXPECT_EQ(destroyed, (std::vector<int>{1, 1, 1, 1}));
+}
+
+/**
+ * Seeded mix of schedule, schedule-at-now, cancel and step checked
+ * against a (when, seq)-ordered model, with bursts of mass cancellation
+ * that force heap compaction: survivors must run in model order, the
+ * clock only ever lands on a survivor's time, and pending() /
+ * peak_pending() count live events only.
+ */
+TEST(SimulationCancel, MatchesOrderedModelThroughCompaction)
+{
+    Simulation sim;
+    Rng rng(20260417);
+    std::vector<int> ran;
+    std::vector<int> destroyed;
+    std::vector<bool> cancelled;
+    std::vector<Simulation::EventId> ids;
+    std::map<std::pair<SimTime, uint64_t>, int> model;
+    std::vector<int> live;  // labels in model (for random cancels)
+    uint64_t seq = 0;
+    size_t peak = 0;
+    uint64_t executed = 0;
+
+    auto schedule = [&](SimTime delay) {
+        int label = static_cast<int>(ids.size());
+        destroyed.push_back(0);
+        cancelled.push_back(false);
+        ids.push_back(sim.schedule(delay, Probe(&ran, &destroyed, label)));
+        model.emplace(std::make_pair(sim.now() + delay, seq++), label);
+        live.push_back(label);
+        peak = std::max(peak, model.size());
+    };
+    auto cancel_random = [&] {
+        size_t i = rng.index(live.size());
+        int label = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        for (auto it = model.begin(); it != model.end(); ++it) {
+            if (it->second == label) {
+                model.erase(it);
+                break;
+            }
+        }
+        ASSERT_TRUE(sim.cancel(ids[static_cast<size_t>(label)]));
+        ASSERT_EQ(destroyed[static_cast<size_t>(label)], 1);
+        cancelled[static_cast<size_t>(label)] = true;
+    };
+    auto step = [&] {
+        ASSERT_FALSE(model.empty());
+        auto front = model.begin();
+        const auto [when, s] = front->first;
+        const int label = front->second;
+        model.erase(front);
+        live.erase(std::find(live.begin(), live.end(), label));
+        ASSERT_TRUE(sim.step());
+        ++executed;
+        ASSERT_EQ(ran.back(), label);
+        ASSERT_EQ(sim.now(), when);
+    };
+
+    for (int round = 0; round < 40; ++round) {
+        for (int i = 0; i < 500; ++i) {
+            double action = rng.uniform();
+            if (action < 0.35) {
+                schedule(usec(rng.uniform_int(1, 400)));
+            } else if (action < 0.5) {
+                schedule(0);
+            } else if (action < 0.7 && !live.empty()) {
+                cancel_random();
+            } else if (!model.empty()) {
+                step();
+            }
+            ASSERT_EQ(sim.pending(), model.size());
+        }
+        // Mass cancellation: tombstones come to outnumber live entries.
+        const size_t keep = live.size() / 4;
+        while (live.size() > keep) {
+            cancel_random();
+        }
+        ASSERT_EQ(sim.pending(), model.size());
+    }
+    while (!model.empty()) {
+        step();
+    }
+    EXPECT_FALSE(sim.step());
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.peak_pending(), peak);
+    EXPECT_EQ(sim.events_executed(), executed);
+    for (int label : ran) {
+        EXPECT_FALSE(cancelled[static_cast<size_t>(label)]);
+    }
+    // Every payload, run or cancelled, was destroyed exactly once.
+    for (size_t i = 0; i < destroyed.size(); ++i) {
+        ASSERT_EQ(destroyed[i], 1) << "label " << i;
+    }
+    EXPECT_EQ(ran.size() + static_cast<size_t>(std::count(
+                               cancelled.begin(), cancelled.end(), true)),
+              ids.size());
 }
 
 Task<void>

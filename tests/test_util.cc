@@ -5,9 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/util/hash.h"
 #include "src/util/path.h"
@@ -112,6 +115,111 @@ TEST(ConsistentHashRing, BalancesLoadAcrossMembers)
         double share = static_cast<double>(load[m]) / keys;
         EXPECT_GT(share, 0.04) << "member " << m;
         EXPECT_LT(share, 0.20) << "member " << m;
+    }
+}
+
+/**
+ * The ring as an ordered map of point -> member: the reference semantics
+ * (shared points go to the newest member, removal only drops a member's
+ * own points, lookup takes the first point >= the hash and wraps).
+ */
+class MapRingModel {
+  public:
+    explicit MapRingModel(int vnodes) : vnodes_(vnodes) {}
+
+    static uint64_t
+    point(int id, int v)
+    {
+        return mix64(static_cast<uint64_t>(id) * 0x100000001b3ULL +
+                     static_cast<uint64_t>(v));
+    }
+
+    void
+    add_member(int id)
+    {
+        auto it = ring_.find(point(id, 0));
+        if (it != ring_.end() && it->second == id) {
+            return;
+        }
+        for (int v = 0; v < vnodes_; ++v) {
+            ring_[point(id, v)] = id;
+        }
+        ++members_;
+    }
+
+    void
+    remove_member(int id)
+    {
+        size_t removed = 0;
+        for (int v = 0; v < vnodes_; ++v) {
+            auto it = ring_.find(point(id, v));
+            if (it != ring_.end() && it->second == id) {
+                ring_.erase(it);
+                ++removed;
+            }
+        }
+        if (removed > 0) {
+            --members_;
+        }
+    }
+
+    int
+    lookup_hash(uint64_t hash) const
+    {
+        auto it = ring_.lower_bound(hash);
+        return it == ring_.end() ? ring_.begin()->second : it->second;
+    }
+
+    size_t size() const { return members_; }
+    bool empty() const { return ring_.empty(); }
+    const std::map<uint64_t, int>& points() const { return ring_; }
+
+  private:
+    int vnodes_;
+    size_t members_ = 0;
+    std::map<uint64_t, int> ring_;
+};
+
+TEST(ConsistentHashRing, MatchesOrderedMapSemanticsUnderChurn)
+{
+    std::mt19937_64 rng(0x51ab1e);
+    for (int vnodes : {1, 8, 64}) {
+        ConsistentHashRing ring(vnodes);
+        MapRingModel model(vnodes);
+        for (int round = 0; round < 400; ++round) {
+            int id = static_cast<int>(rng() % 24);
+            if (rng() % 3 == 0) {
+                ring.remove_member(id);
+                model.remove_member(id);
+            } else {
+                ring.add_member(id);
+                model.add_member(id);
+            }
+            ASSERT_EQ(ring.size(), model.size());
+            ASSERT_EQ(ring.empty(), model.empty());
+            if (model.empty()) {
+                continue;
+            }
+            // Random hashes, the exact points (first point >= hash is
+            // the point itself), their neighbours, and both extremes
+            // (past the last point wraps to the first).
+            std::vector<uint64_t> probes = {0, ~uint64_t{0}};
+            for (int i = 0; i < 32; ++i) {
+                probes.push_back(rng());
+            }
+            for (const auto& [p, owner] : model.points()) {
+                if (rng() % 4 == 0) {
+                    probes.push_back(p);
+                    probes.push_back(p - 1);
+                    probes.push_back(p + 1);
+                }
+            }
+            for (uint64_t h : probes) {
+                ASSERT_EQ(ring.lookup_hash(h), model.lookup_hash(h))
+                    << "vnodes " << vnodes << " round " << round
+                    << " hash " << h;
+            }
+        }
     }
 }
 
