@@ -25,6 +25,14 @@ Modes:
   lfs_report.py --trajectory BENCH_kernel.json show a checked-in perf
                                                trajectory file as a
                                                time series per case
+  lfs_report.py --perf-gate scripts/perf_baseline.json --micro-json M
+      --micro-log LOG --kernel-out K --fig11-out F --ns-out N
+                                               the perf-smoke gate
+                                               (scripts/perf_smoke.sh):
+                                               exit 1 unless every
+                                               captured bench output
+                                               clears its checked-in
+                                               floor or ceiling
 
 The segment taxonomy and the "segments sum to end-to-end" invariant are
 defined in src/sim/latency.h. Segment histograms hold only the ops where
@@ -36,7 +44,9 @@ finalized ledger sums to its end-to-end latency.
 
 import argparse
 import json
+import re
 import sys
+import time
 
 # Taxonomy order from src/sim/latency.h — the table reads client ->
 # gateway -> NameNode -> store top to bottom.
@@ -264,6 +274,168 @@ def trajectory(path):
     return 0
 
 
+def eps_lines(text, tag):
+    """{case: [events_per_sec, ...]} from the lines of @text holding @tag."""
+    rates = {}
+    for line in text.splitlines():
+        if tag not in line:
+            continue
+        case = re.search(r"case=(\S+)", line)
+        eps = re.search(r"events_per_sec=(\d+)", line)
+        if eps:
+            rates.setdefault(case.group(1) if case else "", []).append(
+                int(eps.group(1)))
+    return rates
+
+
+def gate_kernel(baseline, tolerance, kernel_out):
+    fail = False
+    kernel_rates = eps_lines(kernel_out, "[bench_kernel]")
+    for case, base in baseline["bench_kernel"].items():
+        floor = base * (1.0 - tolerance)
+        got = kernel_rates.get(case)
+        if not got:
+            print(f"FAIL: bench_kernel case {case} printed no events_per_sec")
+            fail = True
+        elif got[0] < floor:
+            print(f"FAIL: {case} at {got[0]} events/sec, more than "
+                  f"{tolerance:.0%} below baseline {base} "
+                  f"(floor {floor:.0f})")
+            fail = True
+        else:
+            print(f"  ok: {case} {got[0]} events/sec (floor {floor:.0f})")
+    return fail
+
+
+def gate_micro(baseline, micro, micro_log):
+    """Cache-walk and namespace ceilings; appends the trajectory line.
+
+    Per-op real_time (ns) must stay below the checked-in ceiling.
+    Ceilings carry their own slack (~2.5x a healthy run), so no further
+    tolerance is applied.
+    """
+    fail = False
+    micro_times = {b["name"]: b["real_time"]
+                   for b in micro.get("benchmarks", [])
+                   if b.get("time_unit", "ns") == "ns"}
+    micro_runs = []
+    ceilings = dict(baseline["bench_micro_structures"]["cache_ns_ceiling"])
+    ceilings.update(baseline["bench_micro_structures"].get(
+        "namespace_ns_ceiling", {}))
+    for case, ceiling in ceilings.items():
+        got = micro_times.get(case)
+        if got is None:
+            print(f"FAIL: bench_micro_structures did not report {case}")
+            fail = True
+            continue
+        micro_runs.append((case, got))
+        if got > ceiling:
+            print(f"FAIL: {case} at {got:.0f} ns/op, above ceiling "
+                  f"{ceiling} ns")
+            fail = True
+        else:
+            print(f"  ok: {case} {got:.0f} ns/op (ceiling {ceiling})")
+
+    if micro_log and micro_runs:
+        # One dated trajectory line; ns/op is recorded as ops/sec so the
+        # --trajectory renderer and its trend math apply unchanged.
+        entry = {
+            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "bench": "bench_micro_structures",
+            "runs": [{"label": case, "ns_per_op": round(t, 1),
+                      "events_per_sec": round(1e9 / t) if t else 0}
+                     for case, t in micro_runs],
+        }
+        with open(micro_log, "a") as f:
+            f.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        print(f"appended bench log: {micro_log} ({len(micro_runs)} runs)")
+    return fail
+
+
+def gate_fig11(baseline, tolerance, fig11_out):
+    rates = [r for rs in eps_lines(fig11_out, "[perf]").values() for r in rs]
+    base = baseline["bench_fig11_client_scaling"]["best_run_events_per_sec"]
+    floor = base * (1.0 - tolerance)
+    if not rates:
+        print("FAIL: no [perf] events_per_sec lines in fig11 output")
+        return True
+    if max(rates) < floor:
+        print(f"FAIL: fig11 best rate {max(rates)} events/sec below "
+              f"floor {floor:.0f}")
+        return True
+    print(f"  ok: fig11 best rate {max(rates)} events/sec "
+          f"(floor {floor:.0f})")
+    return False
+
+
+def gate_namespace(baseline, ns_out):
+    """Two-tier namespace gate over the deterministic residency table.
+
+    Rows read (point resident cold res_mb B/inode pageins pageouts). The
+    budgeted single-client point must actually page out and stay under
+    the bytes/inode ceiling; the unbudgeted point must never touch the
+    cold tier.
+    """
+    row_re = re.compile(r"^\s*(ns/\S+)\s+(\d+)\s+(\d+)\s+([\d.]+)"
+                        r"\s+([\d.]+)\s+(\d+)\s+(\d+)\s*$")
+    ns_rows = {}
+    for line in ns_out.splitlines():
+        m = row_re.match(line)
+        if m:
+            ns_rows[m.group(1)] = {
+                "resident": int(m.group(2)), "cold": int(m.group(3)),
+                "bpi": float(m.group(5)), "pageins": int(m.group(6)),
+                "pageouts": int(m.group(7)),
+            }
+    budgeted = next((r for label, r in ns_rows.items()
+                     if "budget=unset" not in label and "clients=1" in label),
+                    None)
+    unset = next((r for label, r in ns_rows.items()
+                  if "budget=unset" in label), None)
+    bpi_ceiling = baseline["bench_namespace_scale"][
+        "budgeted_bytes_per_inode_ceiling"]
+    if budgeted is None or unset is None:
+        print("FAIL: bench_namespace_scale printed no parseable residency "
+              "rows")
+        return True
+    fail = False
+    if budgeted["cold"] == 0 or budgeted["pageouts"] == 0:
+        print("FAIL: budgeted namespace point paged nothing out")
+        fail = True
+    if budgeted["bpi"] > bpi_ceiling:
+        print(f"FAIL: budgeted bytes/inode {budgeted['bpi']} above "
+              f"ceiling {bpi_ceiling}")
+        fail = True
+    if unset["cold"] != 0 or unset["pageouts"] != 0 or unset["pageins"] != 0:
+        print("FAIL: unbudgeted namespace point touched the cold tier")
+        fail = True
+    if not fail:
+        print(f"  ok: namespace {budgeted['bpi']} B/inode budgeted "
+              f"(ceiling {bpi_ceiling}), {budgeted['cold']} cold records, "
+              f"unbudgeted fully resident")
+    return fail
+
+
+def perf_gate(args):
+    def read(path):
+        with open(path) as f:
+            return f.read()
+
+    with open(args.perf_gate) as f:
+        baseline = json.load(f)
+    with open(args.micro_json) as f:
+        micro = json.load(f)
+    tolerance = baseline["regression_tolerance"]
+    # Every gate runs (and prints) even after an earlier one failed.
+    fails = [
+        gate_kernel(baseline, tolerance, read(args.kernel_out)),
+        gate_micro(baseline, micro, args.micro_log),
+        gate_fig11(baseline, tolerance, read(args.fig11_out)),
+        gate_namespace(baseline, read(args.ns_out)),
+    ]
+    return 1 if any(fails) else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="λFS latency attribution / perf-trajectory report")
@@ -279,7 +451,25 @@ def main():
                         help="exemplars to print per run (default 8)")
     parser.add_argument("--cdf", action="store_true",
                         help="render e2e latency CDFs from buckets")
+    parser.add_argument("--perf-gate", metavar="BASELINE",
+                        help="run the perf-smoke gate against BASELINE "
+                             "(scripts/perf_baseline.json)")
+    parser.add_argument("--micro-json",
+                        help="perf gate: bench_micro_structures JSON")
+    parser.add_argument("--micro-log", default="",
+                        help="perf gate: trajectory file to append the "
+                             "micro ceilings to (empty: no append)")
+    parser.add_argument("--kernel-out", help="perf gate: bench_kernel stdout")
+    parser.add_argument("--fig11-out",
+                        help="perf gate: bench_fig11_client_scaling stdout")
+    parser.add_argument("--ns-out",
+                        help="perf gate: bench_namespace_scale stdout")
     args = parser.parse_args()
+    if args.perf_gate:
+        for name in ("micro_json", "kernel_out", "fig11_out", "ns_out"):
+            if getattr(args, name) is None:
+                parser.error(f"--perf-gate needs --{name.replace('_', '-')}")
+        return perf_gate(args)
     if args.trajectory:
         return trajectory(args.trajectory)
     if not args.metrics:

@@ -26,6 +26,9 @@
 #      bytes/inode under its checked-in ceiling, and keep the unbudgeted
 #      point entirely out of the cold tier (DESIGN.md par.15).
 #
+# The floors and ceilings of steps 1, 2, 3 and 5 are checked by
+# scripts/lfs_report.py --perf-gate over the captured outputs.
+#
 # All runs append one dated JSON line to the checked-in trajectory
 # files (BENCH_kernel.json / BENCH_micro.json / BENCH_fig11.json /
 # BENCH_scenarios.json / BENCH_namespace.json) so the repo accumulates
@@ -68,8 +71,9 @@ KERNEL_OUT="$(LFS_KERNEL_EVENTS="${LFS_PERF_EVENTS:-300000}" \
 echo "$KERNEL_OUT" | grep '^\[bench_kernel\]'
 
 echo "== perf smoke: bench_micro_structures (cache-walk + namespace ceilings) =="
-MICRO_JSON="$(mktemp)"
-trap 'rm -f "$MICRO_JSON"' EXIT
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+MICRO_JSON="$WORK/micro.json"
 "$BUILD_DIR/bench/bench_micro_structures" --benchmark_filter='Cache|BM_Ns' \
     --benchmark_format=json --benchmark_min_time=0.1 > "$MICRO_JSON"
 
@@ -107,143 +111,13 @@ NS_OUT="$(LFS_NS_MAX_INODES="${LFS_PERF_NS_INODES:-1000000}" \
     LFS_BENCH_LOG="$NAMESPACE_LOG" \
     "$BUILD_DIR/bench/bench_namespace_scale")"
 
-if ! python3 - "$BASELINE_JSON" "$MICRO_JSON" "$MICRO_LOG" \
-        <<'EOF' "$KERNEL_OUT" "$FIG11_OUT" "$NS_OUT"
-import json
-import re
-import sys
-import time
-
-baseline = json.load(open(sys.argv[1]))
-micro = json.load(open(sys.argv[2]))
-micro_log = sys.argv[3]
-kernel_out, fig11_out, ns_out = sys.argv[4], sys.argv[5], sys.argv[6]
-tolerance = baseline["regression_tolerance"]
-
-def eps_lines(text, tag):
-    rates = {}
-    for line in text.splitlines():
-        if tag not in line:
-            continue
-        case = re.search(r"case=(\S+)", line)
-        eps = re.search(r"events_per_sec=(\d+)", line)
-        if eps:
-            rates.setdefault(case.group(1) if case else "", []).append(
-                int(eps.group(1)))
-    return rates
-
-fail = False
-
-kernel_rates = eps_lines(kernel_out, "[bench_kernel]")
-for case, base in baseline["bench_kernel"].items():
-    floor = base * (1.0 - tolerance)
-    got = kernel_rates.get(case)
-    if not got:
-        print(f"FAIL: bench_kernel case {case} printed no events_per_sec")
-        fail = True
-    elif got[0] < floor:
-        print(f"FAIL: {case} at {got[0]} events/sec, more than "
-              f"{tolerance:.0%} below baseline {base} (floor {floor:.0f})")
-        fail = True
-    else:
-        print(f"  ok: {case} {got[0]} events/sec (floor {floor:.0f})")
-
-# Cache-walk ceilings: per-op real_time (ns) must stay below the
-# checked-in ceiling. Ceilings carry their own slack (~2.5x a healthy
-# run), so no further tolerance is applied.
-micro_times = {b["name"]: b["real_time"] for b in micro.get("benchmarks", [])
-               if b.get("time_unit", "ns") == "ns"}
-micro_runs = []
-ceilings = dict(baseline["bench_micro_structures"]["cache_ns_ceiling"])
-ceilings.update(baseline["bench_micro_structures"].get(
-    "namespace_ns_ceiling", {}))
-for case, ceiling in ceilings.items():
-    got = micro_times.get(case)
-    if got is None:
-        print(f"FAIL: bench_micro_structures did not report {case}")
-        fail = True
-        continue
-    micro_runs.append((case, got))
-    if got > ceiling:
-        print(f"FAIL: {case} at {got:.0f} ns/op, above ceiling {ceiling} ns")
-        fail = True
-    else:
-        print(f"  ok: {case} {got:.0f} ns/op (ceiling {ceiling})")
-
-if micro_log and micro_runs:
-    # One dated trajectory line; ns/op is recorded as ops/sec so the
-    # --trajectory renderer and its trend math apply unchanged.
-    entry = {
-        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "bench": "bench_micro_structures",
-        "runs": [{"label": case, "ns_per_op": round(t, 1),
-                  "events_per_sec": round(1e9 / t) if t else 0}
-                 for case, t in micro_runs],
-    }
-    with open(micro_log, "a") as f:
-        f.write(json.dumps(entry, separators=(",", ":")) + "\n")
-    print(f"appended bench log: {micro_log} ({len(micro_runs)} runs)")
-
-fig11_rates = [r for rs in eps_lines(fig11_out, "[perf]").values() for r in rs]
-base = baseline["bench_fig11_client_scaling"]["best_run_events_per_sec"]
-floor = base * (1.0 - tolerance)
-if not fig11_rates:
-    print("FAIL: no [perf] events_per_sec lines in fig11 output")
-    fail = True
-elif max(fig11_rates) < floor:
-    print(f"FAIL: fig11 best rate {max(fig11_rates)} events/sec below "
-          f"floor {floor:.0f}")
-    fail = True
-else:
-    print(f"  ok: fig11 best rate {max(fig11_rates)} events/sec "
-          f"(floor {floor:.0f})")
-
-# Two-tier namespace gate: parse the deterministic residency table
-# (point resident cold res_mb B/inode pageins pageouts). The budgeted
-# single-client point must actually page out and stay under the
-# bytes/inode ceiling; the unbudgeted point must never touch the cold
-# tier.
-row_re = re.compile(r"^\s*(ns/\S+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)"
-                    r"\s+(\d+)\s+(\d+)\s*$")
-ns_rows = {}
-for line in ns_out.splitlines():
-    m = row_re.match(line)
-    if m:
-        ns_rows[m.group(1)] = {
-            "resident": int(m.group(2)), "cold": int(m.group(3)),
-            "bpi": float(m.group(5)), "pageins": int(m.group(6)),
-            "pageouts": int(m.group(7)),
-        }
-budgeted = next((r for label, r in ns_rows.items()
-                 if "budget=unset" not in label and "clients=1" in label),
-                None)
-unset = next((r for label, r in ns_rows.items()
-              if "budget=unset" in label), None)
-bpi_ceiling = baseline["bench_namespace_scale"][
-    "budgeted_bytes_per_inode_ceiling"]
-ns_fail = False
-if budgeted is None or unset is None:
-    print("FAIL: bench_namespace_scale printed no parseable residency rows")
-    ns_fail = True
-else:
-    if budgeted["cold"] == 0 or budgeted["pageouts"] == 0:
-        print("FAIL: budgeted namespace point paged nothing out")
-        ns_fail = True
-    if budgeted["bpi"] > bpi_ceiling:
-        print(f"FAIL: budgeted bytes/inode {budgeted['bpi']} above "
-              f"ceiling {bpi_ceiling}")
-        ns_fail = True
-    if unset["cold"] != 0 or unset["pageouts"] != 0 or unset["pageins"] != 0:
-        print("FAIL: unbudgeted namespace point touched the cold tier")
-        ns_fail = True
-    if not ns_fail:
-        print(f"  ok: namespace {budgeted['bpi']} B/inode budgeted "
-              f"(ceiling {bpi_ceiling}), {budgeted['cold']} cold records, "
-              f"unbudgeted fully resident")
-fail = fail or ns_fail
-
-sys.exit(1 if fail else 0)
-EOF
+printf '%s\n' "$KERNEL_OUT" > "$WORK/kernel.txt"
+printf '%s\n' "$FIG11_OUT" > "$WORK/fig11.txt"
+printf '%s\n' "$NS_OUT" > "$WORK/namespace.txt"
+if ! python3 scripts/lfs_report.py --perf-gate "$BASELINE_JSON" \
+        --micro-json "$MICRO_JSON" --micro-log "$MICRO_LOG" \
+        --kernel-out "$WORK/kernel.txt" --fig11-out "$WORK/fig11.txt" \
+        --ns-out "$WORK/namespace.txt"
 then
     echo "== perf smoke FAILED =="
     exit 1

@@ -110,6 +110,9 @@ class CephFs : public workload::Dfs {
     /** Revoke all caps on @p p (and for dirs, their entry snapshots). */
     void revoke_caps(const std::string& p);
 
+    /** Revoke every cap on @p prefix or any path under it. */
+    void revoke_caps_under(const std::string& prefix);
+
     sim::Simulation& sim_;
     CephFsConfig config_;
     sim::Rng rng_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/namespace/apply.h"
 #include "src/sim/log.h"
 #include "src/util/path.h"
 
@@ -174,40 +175,18 @@ NameNode::handle_read(const Op& op)
         rt_.partitioner.deployment_for(op.path) == instance_.deployment_id();
     auto cached = home_partition ? cache_.get(op.path)
                                  : std::optional<ns::INode>();
-    // A cached symlink satisfies lstat, but follow-ops (read, ls) need
-    // the *target*, which lives under its own canonical path — read
-    // through to the store's resolver.
-    if (cached.has_value() && cached->is_symlink() &&
-        (op.type == OpType::kReadFile || op.type == OpType::kLs)) {
-        cached.reset();
+    std::optional<OpResult> hit;
+    if (cached.has_value()) {
+        hit = ns::apply_cached(rt_.store.tree(), op, *cached);
     }
     if (home_partition) {
-        (cached.has_value() ? cache_hits_ : cache_misses_).add();
+        (hit.has_value() ? cache_hits_ : cache_misses_).add();
     }
-    if (cached.has_value()) {
-        OpResult result;
+    if (hit.has_value()) {
         if (attr) {
-            result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+            hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
         }
-        if (op.type == OpType::kReadFile && !cached->is_file()) {
-            result.status =
-                Status::failed_precondition("not a file: " + op.path);
-            co_return result;
-        }
-        result.status = Status::make_ok();
-        result.inode = *cached;
-        result.cache_hit = true;
-        if (op.type == OpType::kLs) {
-            // Child names come from the store's directory index; the
-            // cached inode avoids the expensive path-resolve round trip.
-            auto listed = rt_.store.tree().list(op.path, op.user);
-            if (!listed.ok()) {
-                result.status = listed.status();
-                co_return result;
-            }
-            result.children = listed.take();
-        }
-        co_return result;
+        co_return std::move(*hit);
     }
     // Guarded install: the row locks protecting the store read are gone
     // by the time the reply lands here, so any invalidation delivered in

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/namespace/apply.h"
 #include "src/store/lock_table.h"
 
 namespace lfs::hdfs {
@@ -39,185 +40,39 @@ Hdfs::~Hdfs() = default;
 sim::Task<OpResult>
 Hdfs::name_node_serve(Op op)
 {
-    OpResult result;
     const bool attr = sim_.attribution();
-    if (is_read_op(op.type)) {
-        sim::SimTime cpu_start = sim_.now();
-        co_await cpu_->acquire();
-        co_await sim::delay(sim_, config_.read_cpu);
-        cpu_->release();
-        // Short shared hold of the global namespace lock.
-        sim::SimTime lock_start = sim_.now();
-        co_await lock_table_->lock_shared(kGlobalLock);
-        sim::SimTime lock_acquired = sim_.now();
-        co_await sim::delay(sim_, config_.read_lock_hold);
-        lock_table_->unlock_shared(kGlobalLock);
-        if (attr) {
-            result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                              (lock_start - cpu_start) +
-                                  (sim_.now() - lock_acquired));
-            result.ledger.add(sim::LatSeg::kStoreLockWait,
-                              lock_acquired - lock_start);
-        }
-        switch (op.type) {
-          case OpType::kReadFile: {
-            auto read = tree_.read_file(op.path, op.user);
-            if (!read.ok()) {
-                result.status = read.status();
-                co_return result;
-            }
-            result.inode = read.take();
-            break;
-          }
-          case OpType::kStat: {
-            auto st = tree_.stat(op.path, op.user);
-            if (!st.ok()) {
-                result.status = st.status();
-                co_return result;
-            }
-            result.inode = st.take();
-            break;
-          }
-          case OpType::kStatFs: {
-            result.stats = tree_.statfs();
-            result.inode = *tree_.get(ns::kRootId);
-            break;
-          }
-          default: {
-            auto listed = tree_.list(op.path, op.user);
-            if (!listed.ok()) {
-                result.status = listed.status();
-                co_return result;
-            }
-            result.children = listed.take();
-            break;
-          }
-        }
-        result.status = Status::make_ok();
-        co_return result;
-    }
-
-    // Mutations: exclusive namespace lock across the edit + journal sync.
+    const bool read = is_read_op(op.type);
     sim::SimTime cpu_start = sim_.now();
     co_await cpu_->acquire();
-    co_await sim::delay(sim_, config_.write_cpu);
+    co_await sim::delay(sim_, read ? config_.read_cpu : config_.write_cpu);
     cpu_->release();
+    // Reads take a short shared hold of the global namespace lock;
+    // mutations hold it exclusively across the edit.
     sim::SimTime lock_start = sim_.now();
-    co_await lock_table_->lock_exclusive(kGlobalLock);
+    if (read) {
+        co_await lock_table_->lock_shared(kGlobalLock);
+    } else {
+        co_await lock_table_->lock_exclusive(kGlobalLock);
+    }
     sim::SimTime lock_acquired = sim_.now();
-    co_await sim::delay(sim_, config_.write_lock_hold);
+    co_await sim::delay(sim_, read ? config_.read_lock_hold
+                                   : config_.write_lock_hold);
+    if (read) {
+        lock_table_->unlock_shared(kGlobalLock);
+    }
+    sim::SimTime lock_end = sim_.now();
+    OpResult result = ns::apply(tree_, op, lock_end);
+    if (!read) {
+        lock_table_->unlock_exclusive(kGlobalLock);
+    }
     if (attr) {
         result.ledger.add(sim::LatSeg::kNameNodeCpu,
                           (lock_start - cpu_start) +
-                              (sim_.now() - lock_acquired));
+                              (lock_end - lock_acquired));
         result.ledger.add(sim::LatSeg::kStoreLockWait,
                           lock_acquired - lock_start);
     }
-    sim::SimTime now = sim_.now();
-    switch (op.type) {
-      case OpType::kCreateFile: {
-        auto created = tree_.create_file(op.path, op.user, now);
-        if (!created.ok()) {
-            result.status = created.status();
-        } else {
-            result.inode = created.take();
-            result.status = Status::make_ok();
-        }
-        break;
-      }
-      case OpType::kMkdir: {
-        auto made = tree_.mkdirs(op.path, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-        } else {
-            result.inode = made.take();
-            result.status = Status::make_ok();
-        }
-        break;
-      }
-      case OpType::kDeleteFile: {
-        auto removed = tree_.remove(op.path, op.user, false, now);
-        result.status = removed.ok() ? Status::make_ok() : removed.status();
-        break;
-      }
-      case OpType::kSubtreeDelete: {
-        auto removed = tree_.remove(op.path, op.user, true, now);
-        if (removed.ok()) {
-            result.inodes_touched = *removed;
-            result.status = Status::make_ok();
-        } else {
-            result.status = removed.status();
-        }
-        break;
-      }
-      case OpType::kMv:
-      case OpType::kSubtreeMv:
-        result.status = tree_.rename(op.path, op.dst, op.user, now);
-        break;
-      case OpType::kHardLink: {
-        auto linked = tree_.link(op.path, op.dst, op.user, now);
-        if (linked.ok()) {
-            result.inode = linked.take();
-            result.status = Status::make_ok();
-        } else {
-            result.status = linked.status();
-        }
-        break;
-      }
-      case OpType::kSymlink: {
-        auto made = tree_.symlink(op.path, op.dst, op.user, now);
-        if (made.ok()) {
-            result.inode = made.take();
-            result.status = Status::make_ok();
-        } else {
-            result.status = made.status();
-        }
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto updated = tree_.setattr(op.path, op.attr, op.user, now);
-        if (updated.ok()) {
-            result.inode = updated.take();
-            result.status = Status::make_ok();
-        } else {
-            result.status = updated.status();
-        }
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto opened = tree_.open_session(op.path, op.session_id,
-                                         now + op.lease_ttl, op.user);
-        if (opened.ok()) {
-            result.inode = opened.take();
-            result.status = Status::make_ok();
-        } else {
-            result.status = opened.status();
-        }
-        break;
-      }
-      case OpType::kCloseSession: {
-        auto closed = tree_.close_session(op.session_id, now);
-        if (closed.ok()) {
-            result.inodes_touched = closed.take();
-            result.status = Status::make_ok();
-        } else {
-            result.status = closed.status();
-        }
-        break;
-      }
-      case OpType::kGcPrune: {
-        ns::NamespaceTree::GcResult gc = tree_.gc_prune(now);
-        result.inodes_touched = gc.reclaimed;
-        result.stats = tree_.statfs();
-        result.status = Status::make_ok();
-        break;
-      }
-      default:
-        result.status = Status::invalid_argument("bad op");
-        break;
-    }
-    lock_table_->unlock_exclusive(kGlobalLock);
-    if (result.status.ok() && !is_read_op(op.type)) {
+    if (result.status.ok() && !read) {
         // Edit-log append to the JournalNode quorum (and the Standby).
         sim::SimTime journal_start = sim_.now();
         co_await journal_->acquire();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/namespace/apply.h"
 #include "src/util/path.h"
 
 namespace lfs::hopsfs {
@@ -67,32 +68,15 @@ HopsNameNode::serve_read(const Op& op)
     // need the target under its canonical path, not the cached link.
     if (cache_ && op.type != OpType::kStatFs) {
         auto cached = cache_->get(op.path);
-        if (cached.has_value() && cached->is_symlink() &&
-            (op.type == OpType::kReadFile || op.type == OpType::kLs)) {
-            cached.reset();
-        }
+        std::optional<OpResult> hit;
         if (cached.has_value()) {
-            OpResult result;
+            hit = ns::apply_cached(store_.tree(), op, *cached);
+        }
+        if (hit.has_value()) {
             if (attr) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             }
-            if (op.type == OpType::kReadFile && !cached->is_file()) {
-                result.status =
-                    Status::failed_precondition("not a file: " + op.path);
-                co_return result;
-            }
-            result.status = Status::make_ok();
-            result.inode = *cached;
-            result.cache_hit = true;
-            if (op.type == OpType::kLs) {
-                auto listed = store_.tree().list(op.path, op.user);
-                if (!listed.ok()) {
-                    result.status = listed.status();
-                    co_return result;
-                }
-                result.children = listed.take();
-            }
-            co_return result;
+            co_return std::move(*hit);
         }
     }
     OpResult result = co_await store_.read_op(op);

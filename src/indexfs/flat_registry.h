@@ -14,6 +14,10 @@
  *
  * Both registries use ordered containers where iteration order is
  * observable (GC sweeps), keeping runs deterministic.
+ *
+ * Both variants also keep a mirror NamespaceTree — the logical namespace
+ * behind authoritative_tree() — updated by the untimed helpers at the
+ * end of this file.
  */
 #pragma once
 
@@ -24,8 +28,11 @@
 #include <vector>
 
 #include "src/namespace/inode.h"
+#include "src/namespace/namespace_tree.h"
+#include "src/namespace/op.h"
 #include "src/sim/time.h"
 #include "src/util/hash.h"
+#include "src/util/path.h"
 
 namespace lfs::indexfs {
 
@@ -206,5 +213,56 @@ class SessionRegistry {
     std::unordered_map<std::string, int32_t> open_counts_;
     std::map<std::string, ns::INode> orphans_;
 };
+
+/**
+ * Mirror a committed mutation into @p mirror as the superuser. Flat rows
+ * carry no parent directories, so the parents of a new entry are made on
+ * demand. Other ops (mv, subtree ops, sessions, GC) leave the mirror
+ * untouched.
+ */
+inline void
+apply_to_mirror(ns::NamespaceTree& mirror, const Op& op, sim::SimTime now)
+{
+    ns::UserContext root;
+    switch (op.type) {
+      case OpType::kCreateFile:
+        mirror.mkdirs(path::parent(op.path), root, now);
+        mirror.create_file(op.path, root, now);
+        break;
+      case OpType::kMkdir:
+        mirror.mkdirs(op.path, root, now);
+        break;
+      case OpType::kDeleteFile:
+        mirror.remove(op.path, root, false, now);
+        break;
+      case OpType::kSymlink:
+        mirror.mkdirs(path::parent(op.path), root, now);
+        mirror.symlink(op.path, op.dst, root, now);
+        break;
+      case OpType::kHardLink:
+        mirror.mkdirs(path::parent(op.dst), root, now);
+        mirror.link(op.path, op.dst, root, now);
+        break;
+      case OpType::kSetAttr:
+        mirror.setattr(op.path, op.attr, root, now);
+        break;
+      default:
+        break;
+    }
+}
+
+/** Untimed preload of @p p (and its parents) into @p mirror. */
+inline void
+preload_mirror(ns::NamespaceTree& mirror, const std::string& p,
+               ns::INodeType type)
+{
+    ns::UserContext root;
+    if (type == ns::INodeType::kDirectory) {
+        mirror.mkdirs(p, root, 0);
+    } else {
+        mirror.mkdirs(path::parent(p), root, 0);
+        mirror.create_file(p, root, 0);
+    }
+}
 
 }  // namespace lfs::indexfs

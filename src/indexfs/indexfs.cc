@@ -392,7 +392,8 @@ IndexFsClient::execute(Op op)
                 result.inode,
                 fs_.simulation().now() + fs_.config().lease_ttl};
         } else {
-            fs_.apply_to_mirror(op, result);
+            apply_to_mirror(fs_.authoritative_tree(), op,
+                            fs_.simulation().now());
         }
     }
     co_return result;
@@ -427,47 +428,9 @@ IndexFs::server_for(const std::string& p)
 }
 
 void
-IndexFs::apply_to_mirror(const Op& op, const OpResult& result)
-{
-    (void)result;
-    ns::UserContext root;
-    switch (op.type) {
-      case OpType::kCreateFile:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.create_file(op.path, root, sim_.now());
-        break;
-      case OpType::kMkdir:
-        mirror_.mkdirs(op.path, root, sim_.now());
-        break;
-      case OpType::kDeleteFile:
-        mirror_.remove(op.path, root, false, sim_.now());
-        break;
-      case OpType::kSymlink:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.symlink(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kHardLink:
-        mirror_.mkdirs(path::parent(op.dst), root, sim_.now());
-        mirror_.link(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kSetAttr:
-        mirror_.setattr(op.path, op.attr, root, sim_.now());
-        break;
-      default:
-        break;
-    }
-}
-
-void
 IndexFs::preload(const std::string& p, ns::INodeType type)
 {
-    ns::UserContext root;
-    if (type == ns::INodeType::kDirectory) {
-        mirror_.mkdirs(p, root, 0);
-    } else {
-        mirror_.mkdirs(path::parent(p), root, 0);
-        mirror_.create_file(p, root, 0);
-    }
+    preload_mirror(mirror_, p, type);
     ns::INode inode;
     inode.name = path::basename(p);
     inode.type = type;

@@ -120,9 +120,6 @@ class IndexFs : public workload::Dfs {
     IndexFsServer& server(int index) { return *servers_.at(index); }
     int server_count() const { return static_cast<int>(servers_.size()); }
 
-    /** Mirror a successful mutation into the logical namespace. */
-    void apply_to_mirror(const Op& op, const OpResult& result);
-
     /**
      * Untimed preload of an existing namespace into servers + mirror
      * (workload setup).

@@ -402,7 +402,7 @@ LambdaIndexNode::handle(faas::Invocation inv)
         result.ledger.add(sim::LatSeg::kStoreService, sim.now() - lsm_start);
     }
     if (result.status.ok()) {
-        fs_.apply_to_mirror(op);
+        apply_to_mirror(fs_.authoritative_tree(), op, sim.now());
     }
     co_return result;
 }
@@ -536,46 +536,9 @@ LambdaIndexFs::lsm_for(const std::string& p)
 }
 
 void
-LambdaIndexFs::apply_to_mirror(const Op& op)
-{
-    ns::UserContext root;
-    switch (op.type) {
-      case OpType::kCreateFile:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.create_file(op.path, root, sim_.now());
-        break;
-      case OpType::kMkdir:
-        mirror_.mkdirs(op.path, root, sim_.now());
-        break;
-      case OpType::kDeleteFile:
-        mirror_.remove(op.path, root, false, sim_.now());
-        break;
-      case OpType::kSymlink:
-        mirror_.mkdirs(path::parent(op.path), root, sim_.now());
-        mirror_.symlink(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kHardLink:
-        mirror_.mkdirs(path::parent(op.dst), root, sim_.now());
-        mirror_.link(op.path, op.dst, root, sim_.now());
-        break;
-      case OpType::kSetAttr:
-        mirror_.setattr(op.path, op.attr, root, sim_.now());
-        break;
-      default:
-        break;
-    }
-}
-
-void
 LambdaIndexFs::preload(const std::string& p, ns::INodeType type)
 {
-    ns::UserContext root;
-    if (type == ns::INodeType::kDirectory) {
-        mirror_.mkdirs(p, root, 0);
-    } else {
-        mirror_.mkdirs(path::parent(p), root, 0);
-        mirror_.create_file(p, root, 0);
-    }
+    preload_mirror(mirror_, p, type);
     ns::INode inode = synth_inode(p, type);
     rows_.note_put(p, inode);
     sim::spawn(preload_put(lsm_for(p), p, std::move(inode)));

@@ -125,9 +125,6 @@ class LambdaIndexFs : public workload::Dfs {
     /** LSM instance storing @p p's records. */
     lsm::LsmTree& lsm_for(const std::string& p);
 
-    /** Mirror a successful mutation into the logical namespace. */
-    void apply_to_mirror(const Op& op);
-
     /** Untimed preload of an existing path (workload setup). */
     void preload(const std::string& p, ns::INodeType type);
 

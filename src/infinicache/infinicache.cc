@@ -1,5 +1,6 @@
 #include "src/infinicache/infinicache.h"
 
+#include "src/namespace/apply.h"
 #include "src/util/path.h"
 
 namespace lfs::infinicache {
@@ -35,32 +36,15 @@ CacheNode::handle(faas::Invocation inv)
         // satisfy follow-ops (read, ls), which resolve the target.
         auto cached = op.type == OpType::kStatFs ? std::optional<ns::INode>()
                                                  : cache_.get(op.path);
-        if (cached.has_value() && cached->is_symlink() &&
-            (op.type == OpType::kReadFile || op.type == OpType::kLs)) {
-            cached.reset();
-        }
+        std::optional<OpResult> hit;
         if (cached.has_value()) {
-            OpResult result;
+            hit = ns::apply_cached(fs_.store().tree(), op, *cached);
+        }
+        if (hit.has_value()) {
             if (attr) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             }
-            if (op.type == OpType::kReadFile && !cached->is_file()) {
-                result.status =
-                    Status::failed_precondition("not a file: " + op.path);
-                co_return result;
-            }
-            result.status = Status::make_ok();
-            result.inode = *cached;
-            result.cache_hit = true;
-            if (op.type == OpType::kLs) {
-                auto listed = fs_.store().tree().list(op.path, op.user);
-                if (!listed.ok()) {
-                    result.status = listed.status();
-                    co_return result;
-                }
-                result.children = listed.take();
-            }
-            co_return result;
+            co_return std::move(*hit);
         }
         OpResult result = co_await fs_.store().read_op(op);
         if (attr) {

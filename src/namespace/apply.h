@@ -1,0 +1,41 @@
+/**
+ * @file
+ * The one op applier: the only code that maps an OpType onto
+ * NamespaceTree calls. Every tree-backed system (λFS, HopsFS,
+ * HopsFS+Cache and InfiniCache through the metadata store; HDFS; CephFS)
+ * applies ops here, so the systems differ in timing, locking and caching
+ * and never in what an op does (DESIGN.md §12).
+ */
+#pragma once
+
+#include <optional>
+
+#include "src/namespace/namespace_tree.h"
+#include "src/namespace/op.h"
+#include "src/sim/time.h"
+
+namespace lfs::ns {
+
+/**
+ * Apply @p op to @p tree at simulated time @p now (no timing, no
+ * locking). Reads, stats and listings return the resolved chain and
+ * whether a symlink was followed; statfs reports the namespace counters,
+ * the root inode and inodes_touched = stats.inodes; deletes, session
+ * closes and GC report the inodes they reclaimed, and subtree ops the
+ * rows of their subtree. kCount and other non-op types fail with
+ * INVALID_ARGUMENT.
+ */
+OpResult apply(NamespaceTree& tree, const Op& op, sim::SimTime now);
+
+/**
+ * Answer a read-type @p op from a metadata cache entry @p cached, or
+ * nullopt when the entry cannot serve it: a cached symlink satisfies
+ * lstat, but follow-ops (read, ls) need the target under its own
+ * canonical path. Opening a non-file fails FAILED_PRECONDITION; ls lists
+ * the children through an untimed tree listing. Callers never pass
+ * statfs (namespace-wide counters are never cached).
+ */
+std::optional<OpResult> apply_cached(const NamespaceTree& tree, const Op& op,
+                                     const INode& cached);
+
+}  // namespace lfs::ns

@@ -465,23 +465,6 @@ NamespaceTree::stat(std::string_view p, const UserContext& user) const
     return resolved->target();
 }
 
-StatusOr<INode>
-NamespaceTree::read_file(std::string_view p, const UserContext& user) const
-{
-    auto resolved = resolve(p, user);
-    if (!resolved.ok()) {
-        return resolved.status();
-    }
-    const INode& target = resolved->target();
-    if (!target.is_file()) {
-        return Status::failed_precondition(describe("not a file: ", p));
-    }
-    if (!check_access(target, user, Access::kRead)) {
-        return Status::permission_denied(describe("no read on ", p));
-    }
-    return target;
-}
-
 StatusOr<std::vector<std::string>>
 NamespaceTree::list(std::string_view p, const UserContext& user) const
 {

@@ -5,7 +5,7 @@
  *
  * NamespaceTree implements hierarchical path resolution with permission
  * checks and the HDFS namespace operations (create, mkdirs, delete, mv,
- * stat, ls, read). It is purely functional w.r.t. time — callers provide
+ * stat, ls). It is purely functional w.r.t. time — callers provide
  * timestamps — and has no performance model; timing, locking, and
  * queueing are layered on by lfs::store::MetadataStore.
  *
@@ -181,10 +181,6 @@ class NamespaceTree {
 
     /** getattr with lstat semantics: a final symlink is not followed. */
     StatusOr<INode> stat(std::string_view path, const UserContext& user) const;
-
-    /** Open-for-read on a file: requires read permission on the target. */
-    StatusOr<INode> read_file(std::string_view path,
-                              const UserContext& user) const;
 
     /**
      * List child names of a directory (requires read on the dir), in

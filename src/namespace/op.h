@@ -144,7 +144,12 @@ struct OpResult {
     std::vector<ns::INode> chain;       ///< resolved path chain (root..target)
     std::vector<std::string> children;  ///< ls results
     bool cache_hit = false;             ///< served from a metadata cache
-    int64_t inodes_touched = 1;         ///< rows affected (subtree ops)
+    /**
+     * Inodes reclaimed by a delete, session close or GC pass; rows in
+     * the subtree for subtree ops; live inodes for statfs; 1 otherwise
+     * (ns::apply).
+     */
+    int64_t inodes_touched = 1;
     ns::FsStats stats;                  ///< kStatFs payload
     /**
      * Resolution dereferenced a symlink: the request path is an alias,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/namespace/apply.h"
 #include "src/util/hash.h"
 #include "src/util/path.h"
 
@@ -137,192 +138,6 @@ MetadataStore::breaker_record(size_t idx, const Status& st)
     } else {
         breakers_[idx]->record_failure(sim_.now());
     }
-}
-
-OpResult
-MetadataStore::apply_read(const Op& op) const
-{
-    OpResult result;
-    switch (op.type) {
-      case OpType::kReadFile: {
-        auto resolved = tree_.resolve(op.path, op.user);
-        if (!resolved.ok()) {
-            result.status = resolved.status();
-            return result;
-        }
-        if (!resolved->target().is_file()) {
-            result.status = Status::failed_precondition("not a file: " + op.path);
-            return result;
-        }
-        if (!ns::check_access(resolved->target(), op.user,
-                              ns::Access::kRead)) {
-            result.status = Status::permission_denied("no read on " + op.path);
-            return result;
-        }
-        result.inode = resolved->target();
-        result.chain = std::move(resolved->chain);
-        result.via_symlink = resolved->via_symlink;
-        break;
-      }
-      case OpType::kStat: {
-        // lstat semantics: a final symlink stats the link itself.
-        auto resolved = tree_.resolve(op.path, op.user, ns::Follow::kNoFinal);
-        if (!resolved.ok()) {
-            result.status = resolved.status();
-            return result;
-        }
-        result.inode = resolved->target();
-        result.chain = std::move(resolved->chain);
-        result.via_symlink = resolved->via_symlink;
-        break;
-      }
-      case OpType::kLs: {
-        auto resolved = tree_.resolve(op.path, op.user);
-        if (!resolved.ok()) {
-            result.status = resolved.status();
-            return result;
-        }
-        result.inode = resolved->target();
-        result.chain = std::move(resolved->chain);
-        result.via_symlink = resolved->via_symlink;
-        auto listed = tree_.list_resolved(result.inode, op.path, op.user);
-        if (!listed.ok()) {
-            result.status = listed.status();
-            return result;
-        }
-        result.children = listed.take();
-        break;
-      }
-      case OpType::kStatFs: {
-        result.stats = tree_.statfs();
-        result.inode = *tree_.get(ns::kRootId);
-        result.inodes_touched = result.stats.inodes;
-        break;
-      }
-      default:
-        result.status = Status::invalid_argument("not a read op");
-        return result;
-    }
-    result.status = Status::make_ok();
-    return result;
-}
-
-OpResult
-MetadataStore::apply_write(const Op& op)
-{
-    OpResult result;
-    sim::SimTime now = sim_.now();
-    switch (op.type) {
-      case OpType::kCreateFile: {
-        auto created = tree_.create_file(op.path, op.user, now);
-        if (!created.ok()) {
-            result.status = created.status();
-            return result;
-        }
-        result.inode = created.take();
-        break;
-      }
-      case OpType::kMkdir: {
-        auto made = tree_.mkdirs(op.path, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-            return result;
-        }
-        result.inode = made.take();
-        break;
-      }
-      case OpType::kDeleteFile: {
-        auto removed = tree_.remove(op.path, op.user, /*recursive=*/false, now);
-        if (!removed.ok()) {
-            result.status = removed.status();
-            return result;
-        }
-        result.inodes_touched = removed.take();
-        break;
-      }
-      case OpType::kMv: {
-        Status st = tree_.rename(op.path, op.dst, op.user, now);
-        if (!st.ok()) {
-            result.status = st;
-            return result;
-        }
-        break;
-      }
-      case OpType::kSubtreeDelete: {
-        auto removed = tree_.remove(op.path, op.user, /*recursive=*/true, now);
-        if (!removed.ok()) {
-            result.status = removed.status();
-            return result;
-        }
-        result.inodes_touched = removed.take();
-        break;
-      }
-      case OpType::kSubtreeMv: {
-        Status st = tree_.rename(op.path, op.dst, op.user, now);
-        if (!st.ok()) {
-            result.status = st;
-            return result;
-        }
-        break;
-      }
-      case OpType::kHardLink: {
-        auto linked = tree_.link(op.path, op.dst, op.user, now);
-        if (!linked.ok()) {
-            result.status = linked.status();
-            return result;
-        }
-        result.inode = linked.take();
-        break;
-      }
-      case OpType::kSymlink: {
-        auto made = tree_.symlink(op.path, op.dst, op.user, now);
-        if (!made.ok()) {
-            result.status = made.status();
-            return result;
-        }
-        result.inode = made.take();
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto updated = tree_.setattr(op.path, op.attr, op.user, now);
-        if (!updated.ok()) {
-            result.status = updated.status();
-            return result;
-        }
-        result.inode = updated.take();
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto opened = tree_.open_session(op.path, op.session_id,
-                                         now + op.lease_ttl, op.user);
-        if (!opened.ok()) {
-            result.status = opened.status();
-            return result;
-        }
-        result.inode = opened.take();
-        break;
-      }
-      case OpType::kCloseSession: {
-        auto closed = tree_.close_session(op.session_id, now);
-        if (!closed.ok()) {
-            result.status = closed.status();
-            return result;
-        }
-        result.inodes_touched = closed.take();
-        break;
-      }
-      case OpType::kGcPrune: {
-        ns::NamespaceTree::GcResult gc = tree_.gc_prune(now);
-        result.inodes_touched = gc.reclaimed;
-        result.stats = tree_.statfs();
-        break;
-      }
-      default:
-        result.status = Status::invalid_argument("not a write op");
-        return result;
-    }
-    result.status = Status::make_ok();
-    return result;
 }
 
 std::vector<ns::INodeId>
@@ -478,7 +293,7 @@ MetadataStore::read_op(Op op)
             result.status = st;
             break;
         }
-        result = apply_read(op);
+        result = ns::apply(tree_, op, sim_.now());
         for (ns::INodeId id : lock_ids) {
             locks_.unlock_shared(id);
         }
@@ -584,7 +399,7 @@ MetadataStore::write_op(Op op, LockedHook after_lock)
         }
         co_return shed;
     }
-    OpResult result = apply_write(op);
+    OpResult result = ns::apply(tree_, op, sim_.now());
     // Faults are charged while the row locks are held: a sub-resident
     // namespace pays its page-ins inside the transaction window.
     co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
@@ -674,8 +489,9 @@ MetadataStore::subtree_op(Op op, SubtreeExecution exec)
 
     OpResult result;
     uint64_t faults_before = tree_.pageins();
-    ns::UserContext root;
-    auto size = tree_.subtree_size(op.path, root);
+    // Sized as the caller: a path it may not traverse fails here with
+    // the same status the op itself would return.
+    auto size = tree_.subtree_size(op.path, op.user);
     if (!size.ok()) {
         locks_.release_subtree(op.path);
         result.status = size.status();
@@ -751,7 +567,8 @@ MetadataStore::subtree_op(Op op, SubtreeExecution exec)
     }
     commit_span.end();
 
-    result = apply_write(op);
+    result = ns::apply(tree_, op, sim_.now());
+    // The protocol reports the rows it locked and walked.
     result.inodes_touched = rows;
     co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
     locks_.release_subtree(op.path);

@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "src/namespace/apply.h"
 #include "src/namespace/namespace_tree.h"
 #include "tests/oracle/lifecycle_oracle.h"
 
@@ -26,6 +27,17 @@ UserContext
 plain_user()
 {
     return UserContext{1000, 1000};
+}
+
+/** Open-for-read of @p p as the superuser, through the op applier. */
+OpResult
+read_file(NamespaceTree& tree, const std::string& p)
+{
+    Op op;
+    op.type = OpType::kReadFile;
+    op.path = p;
+    op.user = root_user();
+    return apply(tree, op, 0);
 }
 
 void
@@ -133,9 +145,9 @@ TEST(Symlink, ResolvesThroughToTarget)
     ASSERT_TRUE(f.ok());
     ASSERT_TRUE(tree.symlink("/alias", "/data/f", root_user(), 3).ok());
 
-    auto read = tree.read_file("/alias", root_user());
-    ASSERT_TRUE(read.ok());
-    EXPECT_EQ(read->id, f->id);
+    OpResult read = read_file(tree, "/alias");
+    ASSERT_TRUE(read.status.ok());
+    EXPECT_EQ(read.inode.id, f->id);
     expect_clean(tree);
 }
 
@@ -157,7 +169,7 @@ TEST(Symlink, DanglingLinksAreLegalButUnreadable)
     NamespaceTree tree;
     ASSERT_TRUE(tree.symlink("/sl", "/never/made", root_user(), 1).ok());
     EXPECT_TRUE(tree.stat("/sl", root_user()).ok());
-    EXPECT_EQ(tree.read_file("/sl", root_user()).code(), Code::kNotFound);
+    EXPECT_EQ(read_file(tree, "/sl").status.code(), Code::kNotFound);
     expect_clean(tree);
 }
 
@@ -169,9 +181,9 @@ TEST(Symlink, MidPathComponentIsFollowed)
     ASSERT_TRUE(f.ok());
     ASSERT_TRUE(tree.symlink("/shortcut", "/real/dir", root_user(), 3).ok());
 
-    auto read = tree.read_file("/shortcut/f", root_user());
-    ASSERT_TRUE(read.ok());
-    EXPECT_EQ(read->id, f->id);
+    OpResult read = read_file(tree, "/shortcut/f");
+    ASSERT_TRUE(read.status.ok());
+    EXPECT_EQ(read.inode.id, f->id);
     expect_clean(tree);
 }
 
@@ -180,7 +192,7 @@ TEST(Symlink, LoopFailsWithEloop)
     NamespaceTree tree;
     ASSERT_TRUE(tree.symlink("/a", "/b", root_user(), 1).ok());
     ASSERT_TRUE(tree.symlink("/b", "/a", root_user(), 2).ok());
-    EXPECT_EQ(tree.read_file("/a", root_user()).code(),
+    EXPECT_EQ(read_file(tree, "/a").status.code(),
               Code::kFailedPrecondition);
     expect_clean(tree);
 }
@@ -198,8 +210,8 @@ TEST(Symlink, ChainDepthIsBounded)
     }
     // Depth == bound resolves; one past it trips ELOOP.
     std::string at_bound = "/sl" + std::to_string(kMaxSymlinkFollows - 1);
-    EXPECT_TRUE(tree.read_file(at_bound, root_user()).ok());
-    EXPECT_EQ(tree.read_file(prev, root_user()).code(),
+    EXPECT_TRUE(read_file(tree, at_bound).status.ok());
+    EXPECT_EQ(read_file(tree, prev).status.code(),
               Code::kFailedPrecondition);
     expect_clean(tree);
 }

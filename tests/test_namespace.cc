@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "src/namespace/apply.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/tree_builder.h"
 #include "src/util/path.h"
@@ -95,8 +96,11 @@ TEST(NamespaceTree, ReadFileChecksType)
 {
     NamespaceTree tree;
     ASSERT_TRUE(tree.mkdirs("/d", root_user(), 0).ok());
-    EXPECT_EQ(tree.read_file("/d", root_user()).code(),
-              Code::kFailedPrecondition);
+    Op read;
+    read.type = OpType::kReadFile;
+    read.path = "/d";
+    read.user = root_user();
+    EXPECT_EQ(apply(tree, read, 0).status.code(), Code::kFailedPrecondition);
 }
 
 TEST(NamespaceTree, ListDirectory)
