@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot data structures: the trie
- * metadata cache, the consistent-hash ring, path utilities, latency
- * histograms, and the DES event loop itself. These guard the simulator's
- * own performance (millions of simulated ops per experiment).
+ * metadata cache, the store's row-lock table, the consistent-hash ring,
+ * path utilities, latency histograms, and the DES event loop itself.
+ * These guard the simulator's own performance (millions of simulated ops
+ * per experiment).
  */
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,8 @@
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
+#include "src/sim/task.h"
+#include "src/store/lock_table.h"
 #include "src/util/hash.h"
 #include "src/util/path.h"
 
@@ -172,6 +175,73 @@ BM_CachePrefixInvalidate(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CachePrefixInvalidate)->Arg(4096);
+
+/**
+ * The write path's invalidation with store reads in flight: every call
+ * is logged for the readers (one hash per component, shared by the log
+ * and the trie walk). The oldest reader retires every 64 invalidations,
+ * so the log is pruned and compacted as on a busy NameNode.
+ */
+void
+BM_CacheInvalidateActiveRead(benchmark::State& state)
+{
+    auto paths = make_paths(4096);
+    cache::MetadataCache cache;
+    for (size_t i = 0; i < paths.size(); ++i) {
+        cache.put(paths[i], make_inode(static_cast<int>(i)));
+    }
+    auto held = cache.begin_read();
+    size_t i = 0;
+    for (auto _ : state) {
+        cache.invalidate(paths[i % paths.size()]);
+        if (++i % 64 == 0) {
+            auto next = cache.begin_read();
+            cache.end_read(held);
+            held = next;
+        }
+    }
+    cache.end_read(held);
+}
+BENCHMARK(BM_CacheInvalidateActiveRead);
+
+sim::Task<void>
+lock_rows(store::LockTable& locks, const ns::INodeId* ids, size_t n)
+{
+    for (size_t k = 0; k < n; ++k) {
+        co_await locks.lock_exclusive(ids[k]);
+    }
+}
+
+/**
+ * One write transaction's row locks: lock a 3-row set (parent, target,
+ * destination parent) ascending, release it in reverse. 256 rows stay
+ * held throughout, so every cycle probes a populated table, and each
+ * cycle's rows are created and retired.
+ */
+void
+BM_LockTableCycle(benchmark::State& state)
+{
+    sim::Simulation sim;
+    store::LockTable locks(sim);
+    std::vector<ns::INodeId> held;
+    for (ns::INodeId id = 1; id <= 256; ++id) {
+        held.push_back(id * 1000);
+    }
+    sim::spawn(lock_rows(locks, held.data(), held.size()));
+    uint64_t i = 0;
+    for (auto _ : state) {
+        const ns::INodeId base = static_cast<ns::INodeId>(i % 65536) * 4 + 1;
+        const ns::INodeId ids[3] = {base, base + 1, base + 2};
+        // Ids are 1..3 mod 4 and the held rows multiples of 1000, so the
+        // set is uncontended and the spawn completes without suspending.
+        sim::spawn(lock_rows(locks, ids, 3));
+        for (size_t k = 3; k-- > 0;) {
+            locks.unlock_exclusive(ids[k]);
+        }
+        ++i;
+    }
+}
+BENCHMARK(BM_LockTableCycle);
 
 void
 BM_ConsistentHashLookup(benchmark::State& state)

@@ -1,5 +1,6 @@
 #include "src/cache/metadata_cache.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -233,10 +234,7 @@ MetadataCache::contains(std::string_view p) const
 void
 MetadataCache::invalidate(std::string_view p)
 {
-    // Log even when nothing is cached at p: an in-flight read may be
-    // about to install exactly this path, and the invalidation must win.
-    log_invalidation(p, /*prefix=*/false);
-    Node* node = find(p);
+    Node* node = log_and_find(p, /*prefix=*/false);
     if (!node) {
         return;
     }
@@ -267,8 +265,7 @@ MetadataCache::destroy_subtree(Node* node)
 int64_t
 MetadataCache::invalidate_prefix(std::string_view prefix)
 {
-    log_invalidation(prefix, /*prefix=*/true);
-    Node* node = find(prefix);
+    Node* node = log_and_find(prefix, /*prefix=*/true);
     if (!node) {
         return 0;
     }
@@ -299,30 +296,86 @@ MetadataCache::clear()
     invalidate_prefix("/");
 }
 
+namespace {
+
+/**
+ * Drop the consumed prefix [0, @p head) of a FIFO vector once it is at
+ * least half the vector. erase() shifts in place, so the vector keeps
+ * its capacity, and each element moves O(1) times amortized.
+ */
+template <class T>
+void
+compact_fifo(std::vector<T>& v, size_t& head)
+{
+    if (head == v.size()) {
+        v.clear();
+        head = 0;
+    } else if (head * 2 >= v.size()) {
+        v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
+}
+
+}  // namespace
+
 MetadataCache::ReadToken
 MetadataCache::begin_read()
 {
-    active_reads_.insert(inv_seq_);
+    if (runs_head_ < read_runs_.size() &&
+        read_runs_.back().token == inv_seq_) {
+        ++read_runs_.back().count;
+    } else {
+        read_runs_.push_back(ReadRun{inv_seq_, 1});
+    }
+    ++active_reads_;
     return inv_seq_;
 }
 
 void
 MetadataCache::end_read(ReadToken token)
 {
-    auto it = active_reads_.find(token);
-    if (it != active_reads_.end()) {
-        active_reads_.erase(it);
+    auto it = std::lower_bound(
+        read_runs_.begin() + static_cast<std::ptrdiff_t>(runs_head_),
+        read_runs_.end(), token,
+        [](const ReadRun& run, ReadToken t) { return run.token < t; });
+    if (it != read_runs_.end() && it->token == token && it->count > 0) {
+        --it->count;
+        --active_reads_;
     }
-    if (active_reads_.empty()) {
+    if (active_reads_ == 0) {
+        read_runs_.clear();
+        runs_head_ = 0;
         inv_log_.clear();
+        inv_ids_.clear();
+        log_head_ = 0;
         return;
     }
+    while (read_runs_[runs_head_].count == 0) {
+        ++runs_head_;
+    }
+    compact_fifo(read_runs_, runs_head_);
     // Entries at or before the oldest active snapshot can no longer
     // affect any reader.
-    uint64_t oldest = *active_reads_.begin();
-    while (!inv_log_.empty() && inv_log_.front().seq <= oldest) {
-        inv_log_.pop_front();
+    prune_log(read_runs_[runs_head_].token);
+}
+
+void
+MetadataCache::prune_log(uint64_t oldest)
+{
+    while (log_head_ < inv_log_.size() && inv_log_[log_head_].seq <= oldest) {
+        ++log_head_;
     }
+    if (log_head_ == inv_log_.size()) {
+        inv_ids_.clear();
+    } else if (log_head_ * 2 >= inv_log_.size()) {
+        // Rebase the surviving entries onto the compacted arena.
+        const uint32_t base = inv_log_[log_head_].begin;
+        inv_ids_.erase(inv_ids_.begin(), inv_ids_.begin() + base);
+        for (size_t i = log_head_; i < inv_log_.size(); ++i) {
+            inv_log_[i].begin -= base;
+        }
+    }
+    compact_fifo(inv_log_, log_head_);
 }
 
 void
@@ -336,57 +389,75 @@ MetadataCache::put_guarded(std::string_view p, const ns::INode& inode,
     put(p, inode);
 }
 
-void
-MetadataCache::log_invalidation(std::string_view p, bool prefix)
+MetadataCache::Node*
+MetadataCache::log_and_find(std::string_view p, bool prefix)
 {
     ++inv_seq_;
-    if (active_reads_.empty()) {
-        return;
-    }
-    InvLogEntry entry;
-    entry.seq = inv_seq_;
-    entry.prefix = prefix;
-    // Interned (not find): the invalidated path may never have been
-    // cached, but a racing install of exactly that path must still match
-    // the log — so its components need ids.
-    entry.comps.reserve(static_cast<size_t>(path::depth(p)));
+    // Log even when nothing is cached at p: an in-flight read may be
+    // about to install exactly this path, and the invalidation must win.
+    const bool log = active_reads_ > 0;
+    const size_t begin = inv_ids_.size();
+    Node* cur = root_.get();
     for (std::string_view comp : path::PathView(p)) {
-        entry.comps.push_back(names_.intern(comp));
+        if (!log && cur == nullptr) {
+            break;
+        }
+        const uint64_t h = fnv1a(comp);
+        if (log) {
+            // Interned (not found): the invalidated path may never have
+            // been cached, but a racing install of exactly that path
+            // must still match the log — so its components need ids.
+            inv_ids_.push_back(names_.intern(comp, h));
+        }
+        if (cur != nullptr) {
+            cur = cur->children.find(
+                h, [comp](const Node* n) { return n->name == comp; });
+        }
     }
-    inv_log_.push_back(std::move(entry));
+    if (log) {
+        inv_log_.push_back(
+            InvLogEntry{inv_seq_, static_cast<uint32_t>(begin),
+                        static_cast<uint32_t>(inv_ids_.size() - begin),
+                        prefix});
+    }
+    return cur;
 }
 
 bool
-MetadataCache::matches(const InvLogEntry& entry, std::string_view p) const
+MetadataCache::invalidated_since(std::string_view p, ReadToken token)
 {
-    // Lockstep component-wise compare of p against the entry's interned
-    // id sequence; allocation-free (the log is consulted per install).
-    size_t i = 0;
-    for (std::string_view comp : path::PathView(p)) {
-        if (i == entry.comps.size()) {
-            // p lies strictly under the logged path.
-            return entry.prefix;
-        }
-        uint32_t id = names_.find(comp);
-        if (id == ns::NameTable::kNoName || id != entry.comps[i]) {
-            // A never-interned component cannot equal any logged id.
-            return false;
-        }
-        ++i;
+    // The log is ascending by seq: skip what the reader already saw.
+    auto first = std::upper_bound(
+        inv_log_.begin() + static_cast<std::ptrdiff_t>(log_head_),
+        inv_log_.end(), token,
+        [](ReadToken t, const InvLogEntry& e) { return t < e.seq; });
+    if (first == inv_log_.end()) {
+        return false;
     }
-    // p exhausted: equal iff the entry is exhausted too (equality matches
-    // point and prefix entries alike).
-    return i == entry.comps.size();
-}
-
-bool
-MetadataCache::invalidated_since(std::string_view p, ReadToken token) const
-{
-    for (const InvLogEntry& entry : inv_log_) {
-        if (entry.seq <= token) {
+    // Resolve p's ids once, up to its first never-interned component: no
+    // logged path can contain that component, so only shorter prefix
+    // entries can still match beyond it.
+    size_t depth = 0;
+    bool resolving = true;
+    probe_ids_.clear();
+    for (std::string_view comp : path::PathView(p)) {
+        ++depth;
+        if (resolving) {
+            const uint32_t id = names_.find(comp);
+            resolving = id != ns::NameTable::kNoName;
+            if (resolving) {
+                probe_ids_.push_back(id);
+            }
+        }
+    }
+    for (auto it = first; it != inv_log_.end(); ++it) {
+        // An entry matches p itself (point or prefix) or, when it is a
+        // prefix entry, any path strictly under it.
+        if (it->len > probe_ids_.size() || (it->len < depth && !it->prefix)) {
             continue;
         }
-        if (matches(entry, p)) {
+        const auto ids = inv_ids_.begin() + it->begin;
+        if (std::equal(ids, ids + it->len, probe_ids_.begin())) {
             return true;
         }
     }

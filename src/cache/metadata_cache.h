@@ -19,16 +19,16 @@
  * storage). get/contains/invalidate walk via path::PathView and construct
  * no temporary std::string — a steady-state get performs zero heap
  * allocations. Lookups never intern, so probing for absent paths cannot
- * grow the table; the in-flight read-guard log stores interned id
- * sequences and matches installs by 4-byte id compares.
+ * grow the table. invalidate()/invalidate_prefix() walk the path once:
+ * each component's single hash both interns it into the in-flight
+ * read-guard log and descends the trie. The log is fixed-size entries
+ * over one reused id arena, and installs match it by 4-byte id compares.
  */
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string_view>
 #include <vector>
 
@@ -130,20 +130,35 @@ class MetadataCache {
     struct Node;
 
     /**
-     * One invalidation observed while ≥1 store read was in flight. The
-     * path is stored as its interned component-id sequence, so matching
-     * an install against the log compares 4-byte ids, not string
-     * prefixes.
+     * One invalidation observed while >=1 store read was in flight. The
+     * path is stored as its interned component-id sequence — the slice
+     * [begin, begin + len) of inv_ids_ — so matching an install against
+     * the log compares 4-byte ids, not string prefixes, and logging
+     * allocates nothing once the arena has grown to its peak.
      */
     struct InvLogEntry {
         uint64_t seq = 0;
-        std::vector<uint32_t> comps;  ///< interned ids, root-first
+        uint32_t begin = 0;  ///< offset into inv_ids_
+        uint32_t len = 0;    ///< component count (0 = "/")
         bool prefix = false;
     };
 
-    void log_invalidation(std::string_view path, bool prefix);
-    bool invalidated_since(std::string_view path, ReadToken token) const;
-    bool matches(const InvLogEntry& entry, std::string_view path) const;
+    /** Outstanding reads that took the same token. */
+    struct ReadRun {
+        ReadToken token = 0;
+        uint32_t count = 0;
+    };
+
+    /**
+     * Single-walk invalidation: bumps the sequence and walks @p path
+     * once, hashing each component once. The same hash interns the
+     * component into the guard log (only while a read is in flight) and
+     * descends the trie. @return the node at @p path, or nullptr.
+     */
+    Node* log_and_find(std::string_view path, bool prefix);
+    bool invalidated_since(std::string_view path, ReadToken token);
+    /** Drop log entries no reader can still observe (seq <= @p oldest). */
+    void prune_log(uint64_t oldest);
 
     Node* find(std::string_view path) const;
     Node* child_or_create(Node* cur, std::string_view comp);
@@ -174,10 +189,21 @@ class MetadataCache {
     sim::Counter guard_rejections_;
 
     // In-flight read guard state: invalidations are logged only while a
-    // read is outstanding; the log is pruned as readers retire.
+    // read is outstanding; the log is pruned as readers retire. All three
+    // vectors are FIFOs with a consumed-prefix head that is compacted in
+    // place, so they stop allocating once they reach their peak size.
     uint64_t inv_seq_ = 0;
-    std::multiset<uint64_t> active_reads_;
-    std::deque<InvLogEntry> inv_log_;
+    /** Active reads as (token, count) runs, strictly ascending by token
+        (tokens are issued in nondecreasing order, so begin_read appends
+        or bumps the last run). Runs drained out of order stay until they
+        reach the head. */
+    std::vector<ReadRun> read_runs_;
+    size_t runs_head_ = 0;
+    size_t active_reads_ = 0;
+    std::vector<InvLogEntry> inv_log_;  ///< ascending seq
+    size_t log_head_ = 0;
+    std::vector<uint32_t> inv_ids_;  ///< id arena behind inv_log_
+    std::vector<uint32_t> probe_ids_;  ///< put_guarded's reused id buffer
 };
 
 }  // namespace lfs::cache

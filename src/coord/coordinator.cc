@@ -1,6 +1,7 @@
 #include "src/coord/coordinator.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace lfs::coord {
 
@@ -21,6 +22,7 @@ Coordinator::join(int group, CacheMember* member)
     auto& members = groups_[group];
     if (std::find(members.begin(), members.end(), member) == members.end()) {
         members.push_back(member);
+        ++membership_generation_;
     }
 }
 
@@ -34,6 +36,7 @@ Coordinator::leave(int group, CacheMember* member)
     auto& members = it->second;
     members.erase(std::remove(members.begin(), members.end(), member),
                   members.end());
+    ++membership_generation_;
 }
 
 size_t
@@ -125,21 +128,27 @@ Coordinator::invalidate(std::vector<InvTarget> targets, CacheMember* exclude,
         sim_.tracer().start_span("coord", "inv_round", ctx);
     round_span.annotate("targets", static_cast<int64_t>(targets.size()));
     sim::WaitGroup wg(sim_);
+    // The round's membership is fixed here: every INV is spawned before
+    // the first suspends, so members joining later get none (they read
+    // the post-write state from the store) and one leaving mid-round is
+    // excused by deliver_one. Each spawn runs only to its first network
+    // hop, which never joins or leaves a group, so the live member list
+    // is walked in place instead of copied.
+    [[maybe_unused]] const uint64_t generation = membership_generation_;
     for (const InvTarget& target : targets) {
         auto it = groups_.find(target.group);
         if (it == groups_.end()) {
             continue;
         }
-        // Snapshot: members joining after the INV is issued will read the
-        // post-write state from the store, so they need no invalidation.
-        std::vector<CacheMember*> snapshot = it->second;
-        for (CacheMember* member : snapshot) {
+        for (CacheMember* member : it->second) {
             if (member == exclude) {
                 continue;
             }
             wg.add();
             sim::spawn(deliver_one(target.group, member, target.path,
                                    target.subtree, &wg));
+            assert(membership_generation_ == generation &&
+                   "membership changed during the INV spawn loop");
         }
     }
     co_await wg.wait();

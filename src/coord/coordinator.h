@@ -122,6 +122,9 @@ class Coordinator {
     net::Network& network_;
     CoordinatorConfig config_;
     std::unordered_map<int, std::vector<CacheMember*>> groups_;
+    /** Bumped by every join/leave; invalidate() asserts its fan-out
+        loop over a live member list sees none. */
+    uint64_t membership_generation_ = 0;
     // Registry-owned (exported via --metrics-out).
     sim::Counter& invs_;
     sim::Counter& rounds_;

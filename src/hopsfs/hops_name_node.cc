@@ -146,11 +146,9 @@ HopsNameNode::serve_write(const Op& op)
         }
     }
 
-    store::MetadataStore::LockedHook hook;
-    if (cache_) {
-        hook = [this, &op]() { return write_inv_round(op); };
-    }
-    OpResult result = co_await store_.write_op(op, std::move(hook));
+    auto inv_round = [this, &op]() { return write_inv_round(op); };
+    OpResult result = co_await store_.write_op(
+        op, cache_ ? store::MetadataStore::LockedHook(inv_round) : nullptr);
     if (sim_.attribution()) {
         result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     }

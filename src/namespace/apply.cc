@@ -164,9 +164,16 @@ apply_cached(const NamespaceTree& tree, const Op& op, const INode& cached)
     }
     std::optional<OpResult> out(std::in_place);
     OpResult& r = *out;
-    if (op.type == OpType::kReadFile && !cached.is_file()) {
-        r.status = Status::failed_precondition("not a file: " + op.path);
-        return out;
+    if (op.type == OpType::kReadFile) {
+        // Same checks, same order and same statuses as the cold path.
+        if (!cached.is_file()) {
+            r.status = Status::failed_precondition("not a file: " + op.path);
+            return out;
+        }
+        if (!check_access(cached, op.user, Access::kRead)) {
+            r.status = Status::permission_denied("no read on " + op.path);
+            return out;
+        }
     }
     r.inode = cached;
     r.cache_hit = true;

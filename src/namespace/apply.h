@@ -31,9 +31,11 @@ OpResult apply(NamespaceTree& tree, const Op& op, sim::SimTime now);
  * Answer a read-type @p op from a metadata cache entry @p cached, or
  * nullopt when the entry cannot serve it: a cached symlink satisfies
  * lstat, but follow-ops (read, ls) need the target under its own
- * canonical path. Opening a non-file fails FAILED_PRECONDITION; ls lists
- * the children through an untimed tree listing. Callers never pass
- * statfs (namespace-wide counters are never cached).
+ * canonical path. Opening a non-file fails FAILED_PRECONDITION, and
+ * opening without read permission on the cached inode PERMISSION_DENIED,
+ * as on the cold path; ls lists the children through an untimed tree
+ * listing. Callers never pass statfs (namespace-wide counters are never
+ * cached).
  */
 std::optional<OpResult> apply_cached(const NamespaceTree& tree, const Op& op,
                                      const INode& cached);

@@ -18,51 +18,60 @@ LockTable::grantable(const Row& row, bool exclusive)
     return !row.exclusive;
 }
 
-sim::Task<void>
-LockTable::lock(ns::INodeId id, bool exclusive)
+uint32_t
+LockTable::find_row(ns::INodeId id) const
 {
-    Row& row = rows_[id];
+    return index_.find_exact(static_cast<uint64_t>(id)) - 1;
+}
+
+uint32_t
+LockTable::row_for(ns::INodeId id)
+{
+    uint32_t slot = find_row(id);
+    if (slot != kNoRow) {
+        return slot;
+    }
+    if (free_rows_.empty()) {
+        slot = static_cast<uint32_t>(rows_.size());
+        rows_.emplace_back();
+    } else {
+        slot = free_rows_.back();
+        free_rows_.pop_back();
+    }
+    index_.insert(static_cast<uint64_t>(id), slot + 1);
+    return slot;
+}
+
+bool
+LockTable::Acquire::await_ready()
+{
+    slot_ = table_.row_for(id_);
+    Row& row = table_.rows_[slot_];
     // FIFO fairness: a request must queue if anyone is already waiting,
     // even if its mode would be compatible with current holders.
-    if (row.head == nullptr && grantable(row, exclusive)) {
-        if (exclusive) {
+    if (row.head == nullptr && grantable(row, waiter_.exclusive)) {
+        if (waiter_.exclusive) {
             row.exclusive = true;
         } else {
             ++row.shared;
         }
-        co_return;
+        return true;
     }
-    struct Enqueue {
-        Row& row;
-        Waiter waiter;
-        bool await_ready() const noexcept { return false; }
-        void
-        await_suspend(std::coroutine_handle<> h) noexcept
-        {
-            waiter.handle = h;
-            if (row.tail == nullptr) {
-                row.head = &waiter;
-            } else {
-                row.tail->next = &waiter;
-            }
-            row.tail = &waiter;
-        }
-        void await_resume() const noexcept {}
-    };
-    co_await Enqueue{row, Waiter{{}, nullptr, exclusive}};
-    // drain() granted the lock before resuming us.
+    return false;
 }
 
-sim::Task<void>
-LockTable::lock_shared(ns::INodeId id)
+void
+LockTable::Acquire::await_suspend(std::coroutine_handle<> h) noexcept
 {
-    return lock(id, /*exclusive=*/false);
-}
-
-sim::Task<void>
-LockTable::lock_exclusive(ns::INodeId id)
-{
-    return lock(id, /*exclusive=*/true);
+    // Runs straight after await_ready, so slot_ still names the row.
+    Row& row = table_.rows_[slot_];
+    waiter_.handle = h;
+    if (row.tail == nullptr) {
+        row.head = &waiter_;
+    } else {
+        row.tail->next = &waiter_;
+    }
+    row.tail = &waiter_;
 }
 
 sim::Task<void>
@@ -76,13 +85,9 @@ LockTable::lock_exclusive_ordered(std::vector<ns::INodeId> ids)
 }
 
 void
-LockTable::drain(ns::INodeId id)
+LockTable::drain(ns::INodeId id, uint32_t slot)
 {
-    auto it = rows_.find(id);
-    if (it == rows_.end()) {
-        return;
-    }
-    Row& row = it->second;
+    Row& row = rows_[slot];
     // Grant the head waiter; if it is shared, batch all consecutive
     // shared waiters behind it.
     while (row.head != nullptr && grantable(row, row.head->exclusive)) {
@@ -103,26 +108,27 @@ LockTable::drain(ns::INodeId id)
         }
     }
     if (row.head == nullptr && row.shared == 0 && !row.exclusive) {
-        rows_.erase(it);
+        index_.erase_key(static_cast<uint64_t>(id));
+        free_rows_.push_back(slot);
     }
 }
 
 void
 LockTable::unlock_shared(ns::INodeId id)
 {
-    auto it = rows_.find(id);
-    assert(it != rows_.end() && it->second.shared > 0);
-    --it->second.shared;
-    drain(id);
+    const uint32_t slot = find_row(id);
+    assert(slot != kNoRow && rows_[slot].shared > 0);
+    --rows_[slot].shared;
+    drain(id, slot);
 }
 
 void
 LockTable::unlock_exclusive(ns::INodeId id)
 {
-    auto it = rows_.find(id);
-    assert(it != rows_.end() && it->second.exclusive);
-    it->second.exclusive = false;
-    drain(id);
+    const uint32_t slot = find_row(id);
+    assert(slot != kNoRow && rows_[slot].exclusive);
+    rows_[slot].exclusive = false;
+    drain(id, slot);
 }
 
 void
@@ -140,9 +146,9 @@ LockTable::unlock_exclusive_all(const std::vector<ns::INodeId>& ids)
 bool
 LockTable::is_locked(ns::INodeId id) const
 {
-    auto it = rows_.find(id);
-    return it != rows_.end() &&
-           (it->second.shared > 0 || it->second.exclusive);
+    const uint32_t slot = find_row(id);
+    return slot != kNoRow &&
+           (rows_[slot].shared > 0 || rows_[slot].exclusive);
 }
 
 Status

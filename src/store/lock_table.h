@@ -10,28 +10,75 @@
  */
 #pragma once
 
+#include <coroutine>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/namespace/inode.h"
 #include "src/sim/primitives.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
+#include "src/util/name_table.h"
 #include "src/util/status.h"
 
 namespace lfs::store {
 
-/** FIFO-fair shared/exclusive row locks keyed by inode id. */
+/**
+ * FIFO-fair shared/exclusive row locks keyed by inode id.
+ *
+ * Only rows that are held or waited on exist (DESIGN.md §10): a flat
+ * open-addressing index maps an inode id to a slot in a row slab, and a
+ * row's slot is recycled as soon as it goes idle. Both are sized by the
+ * number of rows locked at once, never by the inode count, so steady-state
+ * lock/unlock cycles allocate nothing.
+ */
 class LockTable {
+    /**
+     * A queued lock request. It lives in the awaiting coroutine's frame
+     * (inside the Acquire being awaited), so queueing allocates nothing;
+     * drain() unlinks it before scheduling the resume.
+     */
+    struct Waiter {
+        std::coroutine_handle<> handle;
+        Waiter* next = nullptr;
+        bool exclusive = false;
+    };
+
   public:
     explicit LockTable(sim::Simulation& sim) : sim_(sim) {}
 
+    /**
+     * Awaitable lock request. A free row with no queue is granted in
+     * await_ready, without suspending; otherwise the request queues its
+     * own waiter and drain() grants it before resuming the awaiter. A
+     * lock therefore costs no coroutine frame. Await it at once, in the
+     * full-expression that created it.
+     */
+    class [[nodiscard]] Acquire {
+      public:
+        bool await_ready();
+        void await_suspend(std::coroutine_handle<> h) noexcept;
+        void await_resume() const noexcept {}
+
+      private:
+        friend class LockTable;
+        Acquire(LockTable& table, ns::INodeId id, bool exclusive)
+            : table_(table), id_(id), waiter_{{}, nullptr, exclusive}
+        {
+        }
+
+        LockTable& table_;
+        ns::INodeId id_;
+        uint32_t slot_ = 0;  ///< row slot, found in await_ready
+        Waiter waiter_;
+    };
+
     /** Acquire a shared lock on @p id (waits behind queued writers). */
-    sim::Task<void> lock_shared(ns::INodeId id);
+    Acquire lock_shared(ns::INodeId id) { return {*this, id, false}; }
 
     /** Acquire an exclusive lock on @p id. */
-    sim::Task<void> lock_exclusive(ns::INodeId id);
+    Acquire lock_exclusive(ns::INodeId id) { return {*this, id, true}; }
 
     /**
      * Acquire exclusive locks on all of @p ids in ascending-id order
@@ -66,16 +113,6 @@ class LockTable {
     size_t active_subtree_ops() const { return subtree_roots_.size(); }
 
   private:
-    /**
-     * A queued lock request. It lives in the suspended lock() frame (in
-     * the co_await's awaiter), so queueing allocates nothing; drain()
-     * unlinks it before scheduling the resume.
-     */
-    struct Waiter {
-        std::coroutine_handle<> handle;
-        Waiter* next = nullptr;
-        bool exclusive = false;
-    };
     /** Holders plus an intrusive FIFO of waiters (head..tail). */
     struct Row {
         int shared = 0;
@@ -87,13 +124,24 @@ class LockTable {
     /** True if a lock of the given mode can be granted right now. */
     static bool grantable(const Row& row, bool exclusive);
 
-    /** Wake queued waiters that can now be admitted (FIFO, batch shared). */
-    void drain(ns::INodeId id);
+    /** Slab slot of @p id's row, or kNoRow when the row is idle. */
+    uint32_t find_row(ns::INodeId id) const;
+    /** Slab slot of @p id's row, creating an idle row when absent. */
+    uint32_t row_for(ns::INodeId id);
 
-    sim::Task<void> lock(ns::INodeId id, bool exclusive);
+    /** Wake queued waiters that can now be admitted (FIFO, batch shared);
+        releases the row's slot once it is idle. */
+    void drain(ns::INodeId id, uint32_t slot);
+
+    static constexpr uint32_t kNoRow = 0xffffffffu;
 
     sim::Simulation& sim_;
-    std::unordered_map<ns::INodeId, Row> rows_;
+    /** Inode id -> slab slot + 1 (0 is the table's empty sentinel). Rows
+        may move when the slab grows; nothing holds a Row& across a
+        suspension (queued waiters live in their awaiters). */
+    util::ChildTable<uint32_t> index_;
+    std::vector<Row> rows_;          ///< row slab
+    std::vector<uint32_t> free_rows_;  ///< recycled slab slots
     std::vector<std::string> subtree_roots_;
 };
 

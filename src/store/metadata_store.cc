@@ -140,51 +140,71 @@ MetadataStore::breaker_record(size_t idx, const Status& st)
     }
 }
 
-std::vector<ns::INodeId>
+void
+MetadataStore::LockSet::normalize()
+{
+    std::sort(ids_.data(), ids_.data() + size_);
+    size_ = static_cast<size_t>(
+        std::unique(ids_.data(), ids_.data() + size_) - ids_.data());
+}
+
+MetadataStore::LockSet
 MetadataStore::write_lock_set(const Op& op) const
 {
     // Id-centric resolve: lock-set computation walks inode ids and never
     // materializes INode views (the chains were thrown away here before).
-    std::vector<ns::INodeId> ids;
-    ids.reserve(3);
+    LockSet ids;
     ns::IdChain chain;
     auto add_path = [&](std::string_view p) {
         ns::UserContext root;  // lock-set computation ignores permissions
         if (tree_.resolve_ids(p, root, ns::Follow::kFinal, &chain).ok()) {
-            ids.push_back(chain.back());
+            ids.add(chain.back());
+            return true;
         }
+        return false;
     };
-    add_path(path::parent_view(op.path));
-    add_path(op.path);
+    // A create's target does not exist yet: probe the parent's directory
+    // before resolving the target, whose failure would format an error.
+    if (add_path(path::parent_view(op.path)) &&
+        tree_.lookup_child(chain.back(), path::basename_view(op.path)) !=
+            ns::kInvalidId) {
+        add_path(op.path);
+    }
     if (has_dst_path(op.type)) {
         add_path(path::parent_view(op.dst));
     }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    ids.normalize();
     return ids;
 }
 
-std::vector<ns::INodeId>
-MetadataStore::read_lock_set(const std::string& p) const
+MetadataStore::LockSet
+MetadataStore::read_lock_set(std::string_view p) const
 {
-    std::vector<ns::INodeId> ids;
-    ids.reserve(2);
+    LockSet ids;
     ns::UserContext root;
     ns::IdChain chain;
     if (tree_.resolve_ids(p, root, ns::Follow::kFinal, &chain).ok()) {
-        ids.push_back(chain.back());
+        ids.add(chain.back());
         if (chain.size() > 1) {
-            ids.push_back(chain[chain.size() - 2]);
+            ids.add(chain[chain.size() - 2]);
         }
     } else if (tree_
                    .resolve_ids(path::parent_view(p), root,
                                 ns::Follow::kFinal, &chain)
                    .ok()) {
-        ids.push_back(chain.back());
+        ids.add(chain.back());
     }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    ids.normalize();
     return ids;
+}
+
+void
+MetadataStore::unlock_exclusive(const LockSet& ids)
+{
+    // Release in reverse acquisition order.
+    for (const ns::INodeId* id = ids.end(); id != ids.begin();) {
+        locks_.unlock_exclusive(*--id);
+    }
 }
 
 sim::Task<void>
@@ -204,7 +224,7 @@ MetadataStore::charge_ns_faults(uint64_t faults_before,
 }
 
 sim::Task<OpResult>
-MetadataStore::read_op(Op op)
+MetadataStore::read_op(const Op& op)
 {
     sim::Span txn_span =
         sim_.tracer().start_span("store", "read_txn", op.trace);
@@ -258,7 +278,7 @@ MetadataStore::read_op(Op op)
         // Shared row locks on target + parent serialize the read against
         // concurrent writers, so a reader can never cache a value that a
         // lock-holding writer is about to overwrite.
-        std::vector<ns::INodeId> lock_ids = read_lock_set(op.path);
+        const LockSet lock_ids = read_lock_set(op.path);
         for (ns::INodeId id : lock_ids) {
             co_await locks_.lock_shared(id);
         }
@@ -316,7 +336,7 @@ MetadataStore::read_op(Op op)
 }
 
 sim::Task<OpResult>
-MetadataStore::write_op(Op op, LockedHook after_lock)
+MetadataStore::write_op(const Op& op, LockedHook after_lock)
 {
     sim::Span txn_span =
         sim_.tracer().start_span("store", "write_txn", op.trace);
@@ -365,8 +385,10 @@ MetadataStore::write_op(Op op, LockedHook after_lock)
             locks_.overlaps_active_subtree(op.dst))) {
         co_await sim::delay(sim_, config_.subtree_retry_delay);
     }
-    std::vector<ns::INodeId> lock_ids = write_lock_set(op);
-    co_await locks_.lock_exclusive_ordered(lock_ids);
+    const LockSet lock_ids = write_lock_set(op);
+    for (ns::INodeId id : lock_ids) {
+        co_await locks_.lock_exclusive(id);  // ascending: the lock order
+    }
     lock_span.end();
     if (attr) {
         led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
@@ -387,7 +409,7 @@ MetadataStore::write_op(Op op, LockedHook after_lock)
         attr ? &led : nullptr);
     breaker_record(shard_idx, st);
     if (!st.ok()) {
-        locks_.unlock_exclusive_all(lock_ids);
+        unlock_exclusive(lock_ids);
         txn_span.annotate("shed", code_name(st.code()));
         OpResult shed;
         shed.status = st;
@@ -403,7 +425,7 @@ MetadataStore::write_op(Op op, LockedHook after_lock)
     // Faults are charged while the row locks are held: a sub-resident
     // namespace pays its page-ins inside the transaction window.
     co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
-    locks_.unlock_exclusive_all(lock_ids);
+    unlock_exclusive(lock_ids);
     t0 = sim_.now();
     co_await network_.transfer(net::LatencyClass::kStore);
     if (attr) {

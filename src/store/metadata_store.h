@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "src/sim/task.h"
 #include "src/store/data_node.h"
 #include "src/store/lock_table.h"
+#include "src/util/function_ref.h"
 #include "src/util/overload.h"
 
 namespace lfs::store {
@@ -79,14 +81,16 @@ class MetadataStore {
      * other NameNode can read-and-cache between invalidation and commit
      * (§3.5: the leader "will have taken exclusive write-locks ... so it
      * will be impossible for another NameNode to read and cache the
-     * metadata before it is updated").
+     * metadata before it is updated"). Non-owning: the callable must
+     * outlive the transaction.
      */
-    using LockedHook = std::function<sim::Task<void>()>;
+    using LockedHook = util::FunctionRef<sim::Task<void>()>;
 
     /** NameNode-side execution parameters for a subtree operation. */
     struct SubtreeExecution {
-        /** Awaited after the subtree flag is acquired (prefix INV round). */
-        LockedHook after_lock;
+        /** Awaited after the subtree flag is acquired (prefix INV round).
+            Owning: callers fill the struct before passing it along. */
+        std::function<sim::Task<void>()> after_lock;
         /**
          * Per-row NameNode processing cost added to each batch commit
          * (callers divide by their offload parallelism, Appendix D).
@@ -100,15 +104,19 @@ class MetadataStore {
      * shared row locks on the target and its parent. The result includes
      * the full resolved chain for caching.
      */
-    sim::Task<OpResult> read_op(Op op);
+    sim::Task<OpResult> read_op(const Op& op);
 
     /**
      * Execute a single-inode write (create/mkdir/delete/mv): acquires
      * exclusive row locks in ascending-id order, awaits @p after_lock
      * (if any) while holding them, runs one write transaction on the
      * owning shard, applies the mutation, releases.
+     *
+     * @p op and the callable behind @p after_lock are referenced, not
+     * copied: both must outlive the returned task (co_await it in the
+     * same full-expression, as every caller does). read_op likewise.
      */
-    sim::Task<OpResult> write_op(Op op, LockedHook after_lock = nullptr);
+    sim::Task<OpResult> write_op(const Op& op, LockedHook after_lock = nullptr);
 
     /**
      * Execute a subtree operation (recursive mv/delete) with the HopsFS
@@ -169,11 +177,34 @@ class MetadataStore {
     /** Report one shard transaction outcome to its breaker. */
     void breaker_record(size_t idx, const Status& st);
 
+    /**
+     * A transaction's row-lock set: at most 3 ids (a read locks target
+     * and parent; a write parent, target and destination parent), held
+     * ascending and unique — the global lock order. Inline, so computing
+     * it and locking or unlocking its rows copies nothing to the heap.
+     */
+    class LockSet {
+      public:
+        void add(ns::INodeId id) { ids_[size_++] = id; }
+        /** Sort ascending and drop duplicates. */
+        void normalize();
+        size_t size() const { return size_; }
+        const ns::INodeId* begin() const { return ids_.data(); }
+        const ns::INodeId* end() const { return ids_.data() + size_; }
+
+      private:
+        std::array<ns::INodeId, 3> ids_{};
+        size_t size_ = 0;
+    };
+
     /** Ids that a write on @p op must lock (parent, target, dst parent). */
-    std::vector<ns::INodeId> write_lock_set(const Op& op) const;
+    LockSet write_lock_set(const Op& op) const;
 
     /** Ids that a read on @p p locks shared (parent and target). */
-    std::vector<ns::INodeId> read_lock_set(const std::string& p) const;
+    LockSet read_lock_set(std::string_view p) const;
+
+    /** Release @p ids' exclusive row locks, highest id first. */
+    void unlock_exclusive(const LockSet& ids);
 
     /**
      * Charge the simulated cost of namespace page-ins incurred since

@@ -60,10 +60,14 @@ class NameTable {
     static constexpr uint32_t kNoName = 0xffffffffu;
 
     /** Id for @p name, interning it on first sight. */
+    uint32_t intern(std::string_view name) { return intern(name, fnv1a(name)); }
+
+    /** intern() for a caller that already holds @p h = fnv1a(@p name), so
+        a walk that also keys a trie by the same hash hashes once. */
     uint32_t
-    intern(std::string_view name)
+    intern(std::string_view name, uint64_t h)
     {
-        const uint64_t h = fnv1a(name);
+        assert(h == fnv1a(name));
         if (!slots_.empty()) {
             for (size_t i = h & mask_;; i = (i + 1) & mask_) {
                 const Slot& s = slots_[i];

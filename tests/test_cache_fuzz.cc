@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -315,6 +317,150 @@ TEST(CacheGuardRegression, SharedSpellingDoesNotFalseMatch)
     EXPECT_TRUE(cache.contains("/x/data"));
     EXPECT_TRUE(cache.contains("/x/other"));
     EXPECT_EQ(cache.guard_rejections(), 0u);
+}
+
+// ----------------------------------------------------------------------
+// Read guard against a plain reference model
+// ----------------------------------------------------------------------
+
+/**
+ * The read guard spelled out with strings: a multiset of active tokens
+ * and a log of (seq, path, prefix) entries, pruned exactly as documented
+ * on MetadataCache. Paths are kept normalized, so matching is plain
+ * string comparison.
+ */
+class GuardModel {
+  public:
+    uint64_t
+    begin_read()
+    {
+        active_.insert(seq_);
+        return seq_;
+    }
+
+    void
+    end_read(uint64_t token)
+    {
+        auto it = active_.find(token);
+        ASSERT_NE(it, active_.end());
+        active_.erase(it);
+        if (active_.empty()) {
+            log_.clear();
+            return;
+        }
+        const uint64_t oldest = *active_.begin();
+        while (!log_.empty() && log_.front().seq <= oldest) {
+            log_.pop_front();
+        }
+    }
+
+    void
+    invalidate(const std::string& p, bool prefix)
+    {
+        ++seq_;
+        if (!active_.empty()) {
+            log_.push_back(Entry{seq_, p, prefix});
+        }
+    }
+
+    /** True when an install of @p p under @p token must be rejected. */
+    bool
+    rejects(const std::string& p, uint64_t token) const
+    {
+        for (const Entry& e : log_) {
+            if (e.seq <= token) {
+                continue;
+            }
+            if (p == e.path) {
+                return true;
+            }
+            if (e.prefix &&
+                (e.path == "/" || p.rfind(e.path + "/", 0) == 0)) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    struct Entry {
+        uint64_t seq;
+        std::string path;
+        bool prefix;
+    };
+    uint64_t seq_ = 0;
+    std::multiset<uint64_t> active_;
+    std::deque<Entry> log_;
+};
+
+TEST(CacheGuardReference, DecisionsMatchPlainModel)
+{
+    // Invalidated paths draw from a small tree of spellings shared
+    // across directories; installs also use spellings that are never
+    // invalidated (never interned into the log) and deeper paths.
+    const std::vector<std::string> comps = {"a", "b", "c", "data"};
+    const std::vector<std::string> fresh = {"zz", "q1", "q2"};
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed * 7919);
+        auto random_path = [&](bool allow_fresh, int max_depth) {
+            const int depth = 1 + static_cast<int>(rng.next(
+                                      static_cast<uint64_t>(max_depth)));
+            std::string p;
+            for (int d = 0; d < depth; ++d) {
+                const bool use_fresh = allow_fresh && rng.next(5) == 0;
+                const auto& pool = use_fresh ? fresh : comps;
+                p += "/" + pool[rng.next(pool.size())];
+            }
+            return p;
+        };
+        cache::MetadataCache cache;
+        GuardModel model;
+        std::vector<uint64_t> tokens;  // active, in issue order
+        uint64_t decisions = 0;
+        uint64_t rejections = 0;
+        for (int step = 0; step < 4000; ++step) {
+            const uint64_t roll = rng.next(100);
+            if (roll < 20) {
+                // Several reads often start between two invalidations,
+                // so equal tokens are common.
+                const uint64_t t = cache.begin_read();
+                ASSERT_EQ(t, model.begin_read());
+                tokens.push_back(t);
+            } else if (roll < 35 && !tokens.empty()) {
+                // Retire any active read, not just the oldest.
+                const size_t i = rng.next(tokens.size());
+                cache.end_read(tokens[i]);
+                model.end_read(tokens[i]);
+                tokens.erase(tokens.begin() + static_cast<long>(i));
+            } else if (roll < 55) {
+                const std::string p = random_path(false, 3);
+                cache.invalidate(p);
+                model.invalidate(p, false);
+            } else if (roll < 62) {
+                const bool root = rng.next(10) == 0;
+                const std::string p = root ? "/" : random_path(false, 2);
+                cache.invalidate_prefix(p);
+                model.invalidate(p, true);
+            } else if (!tokens.empty()) {
+                // An install completes a read that is still in flight
+                // (put_guarded before end_read), as every caller does.
+                const uint64_t token = tokens[rng.next(tokens.size())];
+                const std::string p = random_path(true, 4);
+                const uint64_t before = cache.guard_rejections();
+                cache.put_guarded(p, make_inode(1, "leaf"), token);
+                const bool rejected = cache.guard_rejections() != before;
+                ASSERT_EQ(rejected, model.rejects(p, token))
+                    << "seed " << seed << " step " << step << " path " << p
+                    << " token " << token;
+                ++decisions;
+                rejections += rejected ? 1 : 0;
+            }
+        }
+        // The mix must exercise both outcomes.
+        EXPECT_GT(decisions, 500u) << "seed " << seed;
+        EXPECT_GT(rejections, 20u) << "seed " << seed;
+        EXPECT_LT(rejections, decisions) << "seed " << seed;
+    }
 }
 
 }  // namespace

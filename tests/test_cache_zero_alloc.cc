@@ -2,7 +2,9 @@
  * @file
  * Proves the MetadataCache hot path is allocation-free in steady state
  * (DESIGN.md §14): once a working set is installed, get()/contains() on
- * hits, misses, and deep paths must perform zero heap allocations.
+ * hits, misses, and deep paths must perform zero heap allocations, and
+ * so must invalidate()/invalidate_prefix() while store reads are in
+ * flight (the read-guard log).
  *
  * The proof instruments the global allocator — this test lives in its
  * own binary (the test CMake glob builds one executable per test_*.cc)
@@ -153,6 +155,83 @@ TEST(CacheZeroAlloc, InvalidateOfAbsentPathAllocatesNothing)
     }
     EXPECT_EQ(g_allocations - before, 0u);
     EXPECT_TRUE(cache.contains("/d0/f0"));
+}
+
+/**
+ * One round of the write path's cache traffic while store reads are in
+ * flight: point and prefix invalidations of cached and never-cached
+ * paths are logged for the readers, late installs race them, and the
+ * readers retire out of order, so the log is pruned with readers still
+ * active before it is cleared.
+ */
+void
+invalidation_round(cache::MetadataCache& cache,
+                   const std::vector<std::string>& cached,
+                   const std::vector<std::string>& absent)
+{
+    const auto t1 = cache.begin_read();
+    const auto t2 = cache.begin_read();  // equal token
+    for (size_t i = 0; i < cached.size(); ++i) {
+        cache.invalidate(cached[i]);
+        cache.invalidate(absent[i]);
+    }
+    const auto t3 = cache.begin_read();
+    cache.invalidate_prefix("/d1");
+    cache.invalidate_prefix("/nowhere");
+    for (const std::string& p : absent) {
+        cache.put_guarded(p, make_inode(7, "late"), t1);  // rejected
+    }
+    cache.end_read(t1);
+    for (const std::string& p : absent) {
+        cache.invalidate(p);
+    }
+    cache.end_read(t3);  // out of order: t2 is still the oldest
+    cache.invalidate("/d0/f0");
+    cache.end_read(t2);
+}
+
+TEST(CacheZeroAlloc, InvalidateWithReadInFlightAllocatesNothing)
+{
+    // The guard log interns each invalidated path into one reused id
+    // arena and fixed-size entries: once the names are interned and the
+    // log has grown to its peak, logging allocates nothing.
+    cache::MetadataCache cache;
+    std::vector<std::string> cached;
+    std::vector<std::string> absent;
+    for (int i = 0; i < 64; ++i) {
+        std::string dir = "/d" + std::to_string(i % 4);
+        cached.push_back(dir + "/f" + std::to_string(i));
+        absent.push_back(dir + "/gone" + std::to_string(i));
+    }
+    auto install = [&] {
+        for (size_t i = 0; i < cached.size(); ++i) {
+            cache.put(cached[i], make_inode(i, "f" + std::to_string(i)));
+        }
+    };
+    install();
+    invalidation_round(cache, cached, absent);  // warm-up: interning
+    invalidation_round(cache, cached, absent);  // warm-up: peak log
+    const uint64_t rejected = cache.guard_rejections();
+
+    uint64_t before = g_allocations;
+    for (int round = 0; round < 8; ++round) {
+        invalidation_round(cache, cached, absent);
+    }
+    uint64_t allocated = g_allocations - before;
+    EXPECT_EQ(allocated, 0u)
+        << "invalidate/invalidate_prefix with reads in flight performed "
+        << allocated << " heap allocations";
+    EXPECT_EQ(cache.guard_rejections() - rejected, 8 * absent.size());
+
+    // Invalidations that actually drop entries free nodes but allocate
+    // none: re-install (allocating, untimed), then measure the drops.
+    install();
+    before = g_allocations;
+    invalidation_round(cache, cached, absent);
+    EXPECT_EQ(g_allocations - before, 0u);
+    for (const std::string& p : cached) {
+        EXPECT_FALSE(cache.contains(p)) << p;
+    }
 }
 
 }  // namespace

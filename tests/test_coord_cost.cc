@@ -130,6 +130,75 @@ TEST(Coordinator, DeadMembersAreExcusedFromAcks)
     EXPECT_EQ(alive_member.received.size(), 1u);
 }
 
+/** After @p after, run @p action (a membership change mid-round). */
+template <class F>
+Task<void>
+co_after(Simulation& sim, sim::SimTime after, F action)
+{
+    co_await sim::delay(sim, after);
+    action();
+}
+
+TEST(Coordinator, MemberJoiningMidRoundGetsNoInv)
+{
+    // Round membership is fixed when the INVs are issued: a member that
+    // joins while they are in flight reads post-write state from the
+    // store, so it is neither sent an INV nor waited for.
+    CoordFixture f;
+    FakeMember a(f.sim);
+    FakeMember b(f.sim);
+    FakeMember late(f.sim);
+    f.coordinator.join(0, &a);
+    f.coordinator.join(0, &b);
+    bool done = false;
+    bool joined = false;
+    sim::spawn(co_invalidate(f.coordinator, {0}, "/d/f", false, nullptr,
+                             done));
+    sim::spawn(co_after(f.sim, sim::usec(10), [&] {
+        EXPECT_FALSE(done);
+        f.coordinator.join(0, &late);
+        joined = true;
+    }));
+    f.sim.run();
+    EXPECT_TRUE(joined);
+    EXPECT_TRUE(done);
+    EXPECT_EQ(a.received.size(), 1u);
+    EXPECT_EQ(b.received.size(), 1u);
+    EXPECT_TRUE(late.received.empty());
+    EXPECT_EQ(f.coordinator.invs_sent(), 2u);
+    EXPECT_EQ(f.coordinator.group_size(0), 3u);
+}
+
+TEST(Coordinator, MemberLeavingMidRoundIsExcused)
+{
+    // A member that terminates and leaves its group while its INV is in
+    // flight is excused from ACKing; the round completes on the others.
+    CoordFixture f;
+    FakeMember a(f.sim);
+    FakeMember leaving(f.sim);
+    FakeMember c(f.sim);
+    f.coordinator.join(0, &a);
+    f.coordinator.join(0, &leaving);
+    f.coordinator.join(0, &c);
+    bool done = false;
+    bool left = false;
+    sim::spawn(co_invalidate(f.coordinator, {0}, "/d/f", false, nullptr,
+                             done));
+    sim::spawn(co_after(f.sim, sim::usec(10), [&] {
+        EXPECT_FALSE(done);
+        leaving.alive = false;
+        f.coordinator.leave(0, &leaving);
+        left = true;
+    }));
+    f.sim.run();
+    EXPECT_TRUE(left);
+    EXPECT_TRUE(done);
+    EXPECT_EQ(a.received.size(), 1u);
+    EXPECT_EQ(c.received.size(), 1u);
+    EXPECT_TRUE(leaving.received.empty());
+    EXPECT_EQ(f.coordinator.group_size(0), 2u);
+}
+
 TEST(Coordinator, EmptyGroupsCompleteImmediately)
 {
     CoordFixture f;

@@ -265,6 +265,88 @@ TEST(CrossSystem, OpenForReadChecksReadPermissionEverywhere)
     }
 }
 
+/** Open @p p for read as @p user and return the full result. */
+OpResult
+open_as(Simulation& sim, workload::Dfs& dfs, ns::UserContext user,
+        const std::string& p)
+{
+    Op op;
+    op.type = OpType::kReadFile;
+    op.path = p;
+    op.user = user;
+    OpResult out;
+    sim::spawn(co_execute(dfs.client(0), std::move(op), out));
+    sim.run_until(sim.now() + sim::sec(30));
+    return out;
+}
+
+TEST(CrossSystem, WarmCacheOpenChecksReadPermission)
+{
+    // Regression: a cache hit answered open-for-read without the read
+    // check. The owner opens its 0600 file twice, so the entry is cached
+    // by the one NameNode / function there is; another user's open of
+    // the same file is then answered from that warm cache and must still
+    // be denied, exactly as on a cold cache.
+    const ns::UserContext owner{1000, 1000};
+    const ns::UserContext other{2000, 2000};
+    auto check = [&](workload::Dfs& dfs, Simulation& sim) {
+        ns::NamespaceTree& tree = dfs.authoritative_tree();
+        const ns::UserContext root;
+        ASSERT_TRUE(tree.mkdirs("/home", root, 0).ok());
+        ASSERT_TRUE(tree.create_file("/home/mine", root, 0).ok());
+        AttrUpdate chown;
+        chown.mask = AttrUpdate::kMode | AttrUpdate::kOwner |
+                     AttrUpdate::kGroup;
+        chown.mode = 0600;
+        chown.owner = owner.uid;
+        chown.group = owner.gid;
+        ASSERT_TRUE(tree.setattr("/home/mine", chown, root, 0).ok());
+        sim.run_until(sim::sec(5));
+        EXPECT_EQ(open_as(sim, dfs, owner, "/home/mine").status.code(),
+                  Code::kOk)
+            << dfs.name();
+        OpResult warm = open_as(sim, dfs, owner, "/home/mine");
+        EXPECT_EQ(warm.status.code(), Code::kOk) << dfs.name();
+        EXPECT_TRUE(warm.cache_hit) << dfs.name() << ": second open missed";
+        EXPECT_EQ(open_as(sim, dfs, other, "/home/mine").status.code(),
+                  Code::kPermissionDenied)
+            << dfs.name();
+    };
+    {
+        Simulation sim;
+        core::LambdaFsConfig config;
+        config.total_vcpus = 32.0;
+        config.function.vcpus = 2.0;
+        config.num_deployments = 1;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        core::LambdaFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        hopsfs::HopsFsConfig config;
+        config.label = "hopsfs-cache";
+        config.cache_bytes_per_nn = 64ull * 1024 * 1024;
+        config.num_name_nodes = 1;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        hopsfs::HopsFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        infinicache::InfiniCacheConfig config;
+        config.num_functions = 1;
+        config.total_vcpus = 32.0;
+        config.function.vcpus = 4.0;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        infinicache::InfiniCacheFs fs(sim, config);
+        check(fs, sim);
+    }
+}
+
 TEST(CrossSystem, DeterministicAcrossRuns)
 {
     auto run_once = [] {
