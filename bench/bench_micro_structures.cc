@@ -357,6 +357,30 @@ BM_NsCreate(benchmark::State& state)
 BENCHMARK(BM_NsCreate);
 
 void
+BM_NsMutateCycle(benchmark::State& state)
+{
+    // create -> mv -> delete of one file in a warm tree: the mutations a
+    // write transaction applies, each resolving by inode-id chain.
+    ns::NamespaceTree tree;
+    ns::UserContext user{0, 0};
+    if (!tree.mkdirs("/bench/a", user, 0).ok() ||
+        !tree.mkdirs("/bench/b", user, 0).ok()) {
+        state.SkipWithError("mkdirs failed");
+        return;
+    }
+    sim::SimTime now = 0;
+    for (auto _ : state) {
+        ++now;
+        benchmark::DoNotOptimize(tree.create_file("/bench/a/f", user, now));
+        benchmark::DoNotOptimize(
+            tree.rename("/bench/a/f", "/bench/b/f", user, now));
+        benchmark::DoNotOptimize(
+            tree.remove("/bench/b/f", user, /*recursive=*/false, now));
+    }
+}
+BENCHMARK(BM_NsMutateCycle);
+
+void
 BM_EventLoopScheduleStep(benchmark::State& state)
 {
     sim::Simulation sim;

@@ -116,7 +116,7 @@ CephFs::mds_for(const std::string& p)
 {
     // Static approximation of CephFS' dynamic subtree partitioning:
     // directories pin to MDS ranks by parent-path hash.
-    size_t idx = mix64(fnv1a(path::parent(p))) % mds_.size();
+    size_t idx = mix64(path::parent_hash(p)) % mds_.size();
     return *mds_[idx];
 }
 

@@ -120,8 +120,8 @@ Coordinator::deliver_one(int group, CacheMember* member,
 }
 
 sim::Task<void>
-Coordinator::invalidate(std::vector<InvTarget> targets, CacheMember* exclude,
-                        sim::TraceContext ctx)
+Coordinator::invalidate(std::span<const InvTarget> targets,
+                        CacheMember* exclude, sim::TraceContext ctx)
 {
     rounds_.add();
     sim::Span round_span =
@@ -152,15 +152,6 @@ Coordinator::invalidate(std::vector<InvTarget> targets, CacheMember* exclude,
         }
     }
     co_await wg.wait();
-}
-
-sim::Task<void>
-Coordinator::invalidate_one(int group, std::string path, bool subtree,
-                            CacheMember* exclude, sim::TraceContext ctx)
-{
-    std::vector<InvTarget> targets;
-    targets.push_back(InvTarget{group, std::move(path), subtree});
-    co_await invalidate(std::move(targets), exclude, ctx);
 }
 
 }  // namespace lfs::coord

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -80,16 +81,13 @@ class Coordinator {
      * @p exclude (the leader invalidates locally), then wait for all
      * ACKs. Each INV/ACK pays a coordinator network round trip; targets
      * fan out in parallel. @p ctx parents the round's trace span to the
-     * triggering write.
+     * triggering write. @p targets is borrowed and must outlive the
+     * round: callers await it in the full-expression that passes them,
+     * so a caller-owned buffer can be refilled for the next round.
      */
-    sim::Task<void> invalidate(std::vector<InvTarget> targets,
+    sim::Task<void> invalidate(std::span<const InvTarget> targets,
                                CacheMember* exclude,
                                sim::TraceContext ctx = {});
-
-    /** Convenience: one target. */
-    sim::Task<void> invalidate_one(int group, std::string path, bool subtree,
-                                   CacheMember* exclude,
-                                   sim::TraceContext ctx = {});
 
     uint64_t invs_sent() const { return invs_.value(); }
     uint64_t rounds() const { return rounds_.value(); }

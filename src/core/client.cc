@@ -112,7 +112,7 @@ LfsClient::issue_tcp(faas::FunctionInstance* instance, faas::Invocation inv,
                      sim::SimTime timeout)
 {
     ++tcp_rpcs_;
-    auto cell = std::make_shared<sim::OneShot<OpResult>>(rt_.sim);
+    auto cell = sim::make_shared_one_shot<OpResult>(rt_.sim);
     cell->expire_after(timeout, &client_timeout_result);
     // A dropped request never reaches the server (nothing is spawned);
     // a duplicated request races two identical rounds into the same
@@ -135,7 +135,7 @@ LfsClient::issue_http(int deployment, faas::Invocation inv,
                       sim::SimTime timeout)
 {
     ++http_rpcs_;
-    auto cell = std::make_shared<sim::OneShot<OpResult>>(rt_.sim);
+    auto cell = sim::make_shared_one_shot<OpResult>(rt_.sim);
     cell->expire_after(timeout, &client_timeout_result);
     auto request_fault = rt_.network.message_fault(
         sim::FaultChannel::kGateway, sim::MessageDirection::kRequest,

@@ -10,16 +10,17 @@ namespace lfs::core {
 
 namespace {
 
-/** Append the point INV for @p p's parent directory to @p targets. */
-void
-add_parent_target(const NamespacePartitioner& partitioner,
-                  const std::string& p,
-                  std::vector<coord::Coordinator::InvTarget>& targets)
+/** The most recently recycled entry of @p pool, or a fresh one. */
+template <typename T>
+T
+take_from(std::vector<T>& pool)
 {
-    std::string parent = path::parent(p);
-    const int home = partitioner.deployment_for(parent);
-    targets.push_back(
-        coord::Coordinator::InvTarget{home, std::move(parent), false});
+    if (pool.empty()) {
+        return T{};
+    }
+    T out = std::move(pool.back());
+    pool.pop_back();
+    return out;
 }
 
 }  // namespace
@@ -94,18 +95,52 @@ NameNode::invalidate_local(const Op& op)
     }
 }
 
+coord::Coordinator::InvTarget&
+NameNode::TargetBuffer::next()
+{
+    if (size == slots.size()) {
+        slots.emplace_back();
+    }
+    return slots[size++];
+}
+
+void
+NameNode::TargetBuffer::push(int group, std::string_view p, bool subtree)
+{
+    coord::Coordinator::InvTarget& t = next();
+    t.group = group;
+    t.path.assign(p);
+    t.subtree = subtree;
+}
+
+void
+NameNode::TargetBuffer::push_parent(const NamespacePartitioner& partitioner,
+                                    std::string_view p)
+{
+    coord::Coordinator::InvTarget& t = next();
+    path::assign_parent(t.path, p);
+    t.group = partitioner.deployment_for(t.path);
+    t.subtree = false;
+}
+
+NameNode::TargetBuffer
+NameNode::take_targets()
+{
+    TargetBuffer out = take_from(free_targets_);
+    out.size = 0;
+    return out;
+}
+
 sim::Task<void>
 NameNode::run_coherence(const Op& op, bool invalidate_ancestors)
 {
     // The leader invalidates its own cache directly (Algorithm 1 excludes
     // it from the INV fan-out).
     invalidate_local(op);
-    std::vector<coord::Coordinator::InvTarget> targets;
-    targets.reserve(4);
+    TargetBuffer targets = take_targets();
     auto add_path = [&](const std::string& p) {
-        targets.push_back(coord::Coordinator::InvTarget{
-            rt_.partitioner.deployment_for(p), p, false});
-        add_parent_target(rt_.partitioner, p, targets);
+        targets.push(rt_.partitioner.deployment_for(p), p, false);
+        targets.push_parent(rt_.partitioner, p);
     };
     add_path(op.path);
     if (has_dst_path(op.type)) {
@@ -116,14 +151,13 @@ NameNode::run_coherence(const Op& op, bool invalidate_ancestors)
     if (invalidate_ancestors) {
         // mkdirs with missing intermediates mutates every ancestor level,
         // not just the immediate parent.
-        for (std::string& a : path::ancestors(op.path)) {
+        for (const std::string& a : path::ancestors(op.path)) {
             cache_.invalidate(a);
-            const int home = rt_.partitioner.deployment_for(a);
-            targets.push_back(
-                coord::Coordinator::InvTarget{home, std::move(a), false});
+            targets.push(rt_.partitioner.deployment_for(a), a, false);
         }
     }
-    co_await rt_.coordinator.invalidate(std::move(targets), this, op.trace);
+    co_await rt_.coordinator.invalidate(targets.view(), this, op.trace);
+    free_targets_.push_back(std::move(targets));
 }
 
 sim::Task<void>
@@ -134,15 +168,16 @@ NameNode::run_subtree_coherence(Op op)
     // A large subtree hashes across essentially every deployment, so the
     // prefix INV is issued to all of them (Appendix D), plus point INVs
     // for the parent directories whose mtimes change.
-    std::vector<coord::Coordinator::InvTarget> targets;
+    TargetBuffer targets = take_targets();
     for (int d : rt_.partitioner.all_deployments()) {
-        targets.push_back(coord::Coordinator::InvTarget{d, op.path, true});
+        targets.push(d, op.path, true);
     }
-    add_parent_target(rt_.partitioner, op.path, targets);
+    targets.push_parent(rt_.partitioner, op.path);
     if (op.type == OpType::kMv || op.type == OpType::kSubtreeMv) {
-        add_parent_target(rt_.partitioner, op.dst, targets);
+        targets.push_parent(rt_.partitioner, op.dst);
     }
-    co_await rt_.coordinator.invalidate(std::move(targets), this, op.trace);
+    co_await rt_.coordinator.invalidate(targets.view(), this, op.trace);
+    free_targets_.push_back(std::move(targets));
 }
 
 sim::Task<OpResult>
@@ -223,7 +258,8 @@ NameNode::cache_own_partition_entries(const std::vector<ns::INode>& chain,
     // protocol's deterministic INV targeting: a write invalidates an
     // inode only at deployment_for(path), so that must be the sole
     // deployment ever caching it.
-    std::string p = "/";
+    std::string& p = own_path_;
+    p.assign("/");
     for (const ns::INode& inode : chain) {
         if (inode.id != ns::kRootId) {
             // p stays normalized, so appending equals path::join.
@@ -257,12 +293,14 @@ NameNode::handle_write(const Op& op)
     // is free; otherwise it costs one batched resolve round trip.
     bool parent_missing = false;
     if (!cache_.contains(path::parent_view(op.path))) {
-        Op resolve;
-        resolve.type = OpType::kStat;
-        resolve.path = path::parent(op.path);
+        // A recycled stat Op: its path keeps the capacity of earlier
+        // parents, and only the path and principal ever change.
+        Op resolve = take_from(free_resolves_);
+        path::assign_parent(resolve.path, op.path);
         resolve.user = op.user;
         const cache::MetadataCache::ReadToken token = cache_.begin_read();
-        OpResult resolved = co_await rt_.store.read_op(std::move(resolve));
+        OpResult resolved = co_await rt_.store.read_op(resolve);
+        free_resolves_.push_back(std::move(resolve));
         if (attr) {
             pre.merge(resolved.ledger);
         }

@@ -13,8 +13,11 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "src/cache/metadata_cache.h"
 #include "src/coord/coordinator.h"
@@ -120,6 +123,32 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
     /** Prefix-invalidation round for the subtree op @p op. */
     sim::Task<void> run_subtree_coherence(Op op);
 
+    /**
+     * One coherence round's INV targets. Slots past `size` keep their
+     * path strings' capacity, so a reused buffer refills without
+     * allocating.
+     */
+    struct TargetBuffer {
+        std::vector<coord::Coordinator::InvTarget> slots;
+        size_t size = 0;
+
+        void push(int group, std::string_view p, bool subtree);
+        /** Append the point INV for @p p's parent directory. */
+        void push_parent(const NamespacePartitioner& partitioner,
+                         std::string_view p);
+        /** The next slot, grown on first use. */
+        coord::Coordinator::InvTarget& next();
+
+        std::span<const coord::Coordinator::InvTarget>
+        view() const
+        {
+            return {slots.data(), size};
+        }
+    };
+
+    /** An empty target buffer, recycled from an earlier round if any. */
+    TargetBuffer take_targets();
+
     /** Invalidate the local cache entries a write on @p op touches. */
     void invalidate_local(const Op& op);
 
@@ -147,6 +176,15 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
     sim::Counter& cache_hits_;
     sim::Counter& cache_misses_;
     sim::Counter& shed_expired_;
+    /**
+     * Target buffers of finished rounds. Rounds on one instance overlap,
+     * so each takes its own buffer and returns it when its ACKs are in.
+     */
+    std::vector<TargetBuffer> free_targets_;
+    /** handle_write's parent-resolve kStat Ops, recycled the same way. */
+    std::vector<Op> free_resolves_;
+    /** cache_own_partition_entries' path; it never suspends. */
+    std::string own_path_;
     bool in_coordinator_ = false;
     uint64_t block_reports_ = 0;
 };

@@ -15,16 +15,10 @@ NamespacePartitioner::NamespacePartitioner(int num_deployments, int vnodes)
 }
 
 int
-NamespacePartitioner::deployment_for(const std::string& p) const
+NamespacePartitioner::deployment_for(std::string_view p) const
 {
     // Same point as ring_.lookup(path::parent(p)), minus the string.
     return ring_.lookup_hash(mix64(path::parent_hash(p)));
-}
-
-int
-NamespacePartitioner::deployment_for_dir(const std::string& dir) const
-{
-    return ring_.lookup(path::normalize(dir));
 }
 
 std::vector<int>
@@ -32,7 +26,9 @@ NamespacePartitioner::write_target_deployments(const std::string& p) const
 {
     std::vector<int> out;
     out.push_back(deployment_for(p));
-    int parent_home = deployment_for(path::parent(p));
+    // parent_hash folds components, so an unnormalized view hashes as
+    // the parent string would.
+    int parent_home = deployment_for(path::parent_view(p));
     if (parent_home != out[0]) {
         out.push_back(parent_home);
     }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/hash.h"
@@ -25,10 +26,7 @@ class NamespacePartitioner {
      * Deployment responsible for caching the metadata of @p p — the one
      * hashing its parent directory.
      */
-    int deployment_for(const std::string& p) const;
-
-    /** Deployment caching the entries of directory @p dir itself. */
-    int deployment_for_dir(const std::string& dir) const;
+    int deployment_for(std::string_view p) const;
 
     /**
      * Deployments that a single-inode write on @p p must invalidate: the

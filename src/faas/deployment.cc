@@ -190,7 +190,7 @@ FunctionDeployment::invoke_via_gateway(Invocation inv)
     }
     sim::Span queue_span = sim_.tracer().start_span("faas", "queue_wait",
                                                     gateway_span.context());
-    auto cell = std::make_shared<sim::OneShot<FunctionInstance*>>(sim_);
+    auto cell = sim::make_shared_one_shot<FunctionInstance*>(sim_);
     sim::SimTime enqueued = sim_.now();
     wait_queue_.push_back(
         QueuedInvocation{cell, enqueued, inv.op.deadline});

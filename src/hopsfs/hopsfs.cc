@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/util/hash.h"
 #include "src/util/path.h"
 
 namespace lfs::hopsfs {
@@ -73,7 +74,7 @@ HopsNameNode&
 HopsFs::owner_for(const std::string& p)
 {
     return *name_nodes_[static_cast<size_t>(
-        ring_.lookup(path::parent(p)))];
+        ring_.lookup_hash(mix64(path::parent_hash(p))))];
 }
 
 HopsNameNode&
@@ -115,8 +116,7 @@ HopsClient::execute(Op op)
         // requests round-robin.
         HopsNameNode& nn = fs_.cached() ? fs_.owner_for(op.path)
                                         : fs_.nth(rr_cursor_++);
-        auto cell =
-            std::make_shared<sim::OneShot<OpResult>>(fs_.simulation());
+        auto cell = sim::make_shared_one_shot<OpResult>(fs_.simulation());
         // Subtree operations legitimately run for many seconds (Table 3).
         sim::SimTime timeout = is_subtree_op(op.type)
                                    ? sim::sec(1800)

@@ -2,6 +2,7 @@
 
 #include <iterator>
 
+#include "src/util/hash.h"
 #include "src/util/path.h"
 
 namespace lfs::indexfs {
@@ -424,7 +425,8 @@ IndexFsServer&
 IndexFs::server_for(const std::string& p)
 {
     // Directory-name hash partitioning (§4's simplified GIGA+ scheme).
-    return *servers_[static_cast<size_t>(ring_.lookup(path::parent(p)))];
+    return *servers_[static_cast<size_t>(
+        ring_.lookup_hash(mix64(path::parent_hash(p))))];
 }
 
 void

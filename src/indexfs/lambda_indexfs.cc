@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/util/hash.h"
 #include "src/util/path.h"
 
 namespace lfs::indexfs {
@@ -444,8 +445,8 @@ LambdaIndexClient::execute(Op op)
                          .deployment(target)
                          .invoke_via_gateway(std::move(inv));
         } else {
-            auto cell = std::make_shared<sim::OneShot<OpResult>>(
-                fs_.simulation());
+            auto cell =
+                sim::make_shared_one_shot<OpResult>(fs_.simulation());
             cell->expire_after(fs_.config().request_timeout,
                                &client_timeout_result);
             sim::spawn(co_run_into(
@@ -525,14 +526,14 @@ LambdaIndexFs::~LambdaIndexFs() = default;
 int
 LambdaIndexFs::deployment_for(const std::string& p) const
 {
-    return deployment_ring_.lookup(path::parent(p));
+    return deployment_ring_.lookup_hash(mix64(path::parent_hash(p)));
 }
 
 lsm::LsmTree&
 LambdaIndexFs::lsm_for(const std::string& p)
 {
     return *lsm_instances_[static_cast<size_t>(
-        lsm_ring_.lookup(path::parent(p)))];
+        lsm_ring_.lookup_hash(mix64(path::parent_hash(p))))];
 }
 
 void

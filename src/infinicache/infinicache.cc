@@ -1,6 +1,7 @@
 #include "src/infinicache/infinicache.h"
 
 #include "src/namespace/apply.h"
+#include "src/util/hash.h"
 #include "src/util/path.h"
 
 namespace lfs::infinicache {
@@ -179,7 +180,7 @@ InfiniCacheFs::~InfiniCacheFs() = default;
 int
 InfiniCacheFs::owner_for(const std::string& p) const
 {
-    return ring_.lookup(path::parent(p));
+    return ring_.lookup_hash(mix64(path::parent_hash(p)));
 }
 
 sim::Task<void>

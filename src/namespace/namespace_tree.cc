@@ -458,21 +458,33 @@ NamespaceTree::resolve_ids_ex(std::string_view p, const UserContext& user,
 StatusOr<INode>
 NamespaceTree::stat(std::string_view p, const UserContext& user) const
 {
-    auto resolved = resolve(p, user, Follow::kNoFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    OpScope scope(this);
+    IdChain chain;
+    Status st = resolve_ids(p, user, Follow::kNoFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    return resolved->target();
+    return materialize(*resident_ptr(chain.back()));
 }
 
 StatusOr<std::vector<std::string>>
 NamespaceTree::list(std::string_view p, const UserContext& user) const
 {
-    auto resolved = resolve(p, user);
-    if (!resolved.ok()) {
-        return resolved.status();
+    OpScope scope(this);
+    IdChain chain;
+    Status st = resolve_ids(p, user, Follow::kFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    return list_resolved(resolved->target(), p, user);
+    const INodeRec& target = *resident_ptr(chain.back());
+    if (target.is_file()) {
+        // ls on a file lists the file itself (HDFS semantics).
+        return std::vector<std::string>{name_of(target)};
+    }
+    if (!rec_access(target, user, Access::kRead)) {
+        return Status::permission_denied(describe("no read on ", p));
+    }
+    return child_names(&target);
 }
 
 StatusOr<std::vector<std::string>>
@@ -486,10 +498,15 @@ NamespaceTree::list_resolved(const INode& target, std::string_view p,
     if (!check_access(target, user, Access::kRead)) {
         return Status::permission_denied(describe("no read on ", p));
     }
+    return child_names(resident_ptr(target.id));  // dirs are pinned
+}
+
+std::vector<std::string>
+NamespaceTree::child_names(const INodeRec* dir) const
+{
     std::vector<std::string> names;
-    const INodeRec* rec = resident_ptr(target.id);  // dirs are pinned
-    if (rec != nullptr && rec->is_dir()) {
-        const DirTable& tab = dir_table(*rec);
+    if (dir != nullptr && dir->is_dir()) {
+        const DirTable& tab = dir_table(*dir);
         names.reserve(tab.size());
         for (const DirTable::Slot& s : tab.slots()) {
             if (s.value != kInvalidId) {
@@ -507,15 +524,30 @@ NamespaceTree::list_resolved(const INode& target, std::string_view p,
 // Mutations
 // ----------------------------------------------------------------------
 
+Status
+NamespaceTree::resolve_parent_ids(std::string_view p, const UserContext& user,
+                                  IdChain* out) const
+{
+    // The parent view of a valid path is the normalized parent unless it
+    // repeats a slash; only then is the parent string built, so that
+    // error messages name exactly the path they always did.
+    std::string_view parent = path::parent_view(p);
+    if (parent.find("//") == std::string_view::npos) {
+        return resolve_ids(parent, user, Follow::kFinal, out);
+    }
+    return resolve_ids(path::parent(p), user, Follow::kFinal, out);
+}
+
 StatusOr<INodeRec*>
 NamespaceTree::resolve_mutable_parent(std::string_view p,
                                       const UserContext& user)
 {
-    auto resolved = resolve(path::parent(p), user);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_parent_ids(p, user, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    INodeRec* parent = fetch(resolved->target().id);
+    INodeRec* parent = fetch(chain.back());
     assert(parent != nullptr);
     if (!parent->is_dir()) {
         return Status::failed_precondition(
@@ -814,25 +846,30 @@ NamespaceTree::remove(std::string_view p, const UserContext& user,
         return Status::invalid_argument("cannot delete root");
     }
     // No-follow: deleting a symlink removes the link, not its target.
-    auto resolved = resolve(p, user, Follow::kNoFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_ids(p, user, Follow::kNoFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    const INode& target = resolved->target();
+    if (chain.size() < 2) {
+        return Status::invalid_argument("cannot delete root");  // e.g. "//"
+    }
+    const INodeId target_id = chain.back();
     // The entry being removed is (traversed dir, final component): with
     // hard links the inode's primary parent/name may be a different
     // entry; with intermediate symlinks the traversed dir may differ
     // from a textual parent(p).
-    INodeId parent_id = resolved->chain[resolved->chain.size() - 2].id;
+    INodeId parent_id = chain[chain.size() - 2];
     INodeRec* parent = fetch(parent_id);
     assert(parent != nullptr);
     if (!rec_access(*parent, user, Access::kWrite)) {
         return Status::permission_denied(
             describe("no write on parent of ", p));
     }
-    if (target.is_dir() && !recursive) {
-        const INodeRec* target_rec = resident_ptr(target.id);
-        if (!dir_table(*target_rec).empty()) {
+    if (!recursive) {
+        // The walk paged the target in; directories stay resident.
+        const INodeRec* target = resident_ptr(target_id);
+        if (target->is_dir() && !dir_table(*target).empty()) {
             return Status::failed_precondition(
                 describe("directory not empty: ", p));
         }
@@ -840,7 +877,7 @@ NamespaceTree::remove(std::string_view p, const UserContext& user,
     uint32_t name_id = names_.find(path::basename_view(p));
     int64_t removed = 0;
     dir_table(*parent).erase_key(name_id);
-    reap(target.id, parent_id, name_id, &removed, now);
+    reap(target_id, parent_id, name_id, &removed, now);
     parent->mtime = now;
     ++parent->version;
     return removed;
@@ -864,24 +901,34 @@ NamespaceTree::rename(std::string_view src, std::string_view dst,
                       const UserContext& user, sim::SimTime now)
 {
     OpScope scope(this);
-    if (src == "/" || !path::is_valid(src) || !path::is_valid(dst)) {
+    auto bad_rename = [&] {
         return Status::invalid_argument("bad rename: " + std::string(src) +
                                         " -> " + std::string(dst));
+    };
+    if (src == "/" || !path::is_valid(src) || !path::is_valid(dst)) {
+        return bad_rename();
     }
     // No-follow: renaming a symlink moves the link itself.
-    auto resolved = resolve(src, user, Follow::kNoFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_ids(src, user, Follow::kNoFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    const INode& target = resolved->target();
+    if (chain.size() < 2) {
+        return bad_rename();  // the root, e.g. "//"
+    }
+    const INodeId target_id = chain.back();
     if (path::is_under(dst, src)) {
         return Status::invalid_argument("cannot move under itself");
     }
-    auto dst_parent_resolved = resolve(path::parent(dst), user);
-    if (!dst_parent_resolved.ok()) {
-        return dst_parent_resolved.status();
+    // The source's parent is read off its chain before the chain is
+    // reused for the destination's parent.
+    const INodeId src_parent_id = chain[chain.size() - 2];
+    st = resolve_parent_ids(dst, user, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    INodeId dst_parent_id = dst_parent_resolved->target().id;
+    INodeId dst_parent_id = chain.back();
     INodeRec* dst_parent = fetch(dst_parent_id);
     assert(dst_parent != nullptr);
     if (!dst_parent->is_dir()) {
@@ -893,7 +940,6 @@ NamespaceTree::rename(std::string_view src, std::string_view dst,
     }
     // The entry being moved is (traversed dir, final component of src) —
     // see remove() for why this may differ from the inode's primary.
-    INodeId src_parent_id = resolved->chain[resolved->chain.size() - 2].id;
     uint32_t src_name_id = names_.find(path::basename_view(src));
     INodeRec* src_parent = fetch(src_parent_id);
     assert(src_parent != nullptr);
@@ -901,14 +947,14 @@ NamespaceTree::rename(std::string_view src, std::string_view dst,
         !rec_access(*dst_parent, user, Access::kWrite)) {
         return Status::permission_denied("no write for rename");
     }
-    if (is_ancestor(target.id, dst_parent_id)) {
+    if (is_ancestor(target_id, dst_parent_id)) {
         return Status::invalid_argument("cannot move under itself");
     }
 
     dir_table(*src_parent).erase_key(src_name_id);
     src_parent->mtime = now;
     ++src_parent->version;
-    INodeRec* node = fetch(target.id);  // resident: resolve paged it in
+    INodeRec* node = fetch(target_id);  // resident: resolve paged it in
     assert(node != nullptr);
     uint32_t dst_name_id = names_.intern(dst_name);
     dir_table(*dst_parent).insert(dst_name_id, node->id);
@@ -950,12 +996,13 @@ NamespaceTree::link(std::string_view src, std::string_view dst,
     }
     // No-follow: link(symlink, ...) would alias the link object itself,
     // which we reject below (files only, as HDFS/3FS do).
-    auto resolved = resolve(src, user, Follow::kNoFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_ids(src, user, Follow::kNoFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    const INode& target = resolved->target();
-    if (!target.is_file()) {
+    const INodeId target_id = chain.back();
+    if (!resident_ptr(target_id)->is_file()) {
         return Status::failed_precondition(
             describe("hard link target not a file: ", src));
     }
@@ -967,7 +1014,7 @@ NamespaceTree::link(std::string_view src, std::string_view dst,
     if (lookup_child((*parent)->id, name) != kInvalidId) {
         return Status::already_exists(describe("exists: ", dst));
     }
-    INodeRec* node = fetch(target.id);  // resident: resolve paged it in
+    INodeRec* node = fetch(target_id);  // resident: resolve paged it in
     assert(node != nullptr);
     uint32_t name_id = names_.intern(name);
     auto& refs = links_[node->id];
@@ -1018,11 +1065,12 @@ NamespaceTree::setattr(std::string_view p, const AttrUpdate& update,
                        const UserContext& user, sim::SimTime now)
 {
     OpScope scope(this);
-    auto resolved = resolve(p, user, Follow::kFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_ids(p, user, Follow::kFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    INodeRec* node = fetch(resolved->target().id);
+    INodeRec* node = fetch(chain.back());
     assert(node != nullptr);
     if (!user.is_superuser() && user.uid != node->owner) {
         return Status::permission_denied(describe("not the owner of ", p));
@@ -1061,20 +1109,21 @@ NamespaceTree::open_session(std::string_view p, uint64_t session_id,
         return Status::already_exists("session already open: " +
                                       std::to_string(session_id));
     }
-    auto resolved = resolve(p, user, Follow::kFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_ids(p, user, Follow::kFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
-    const INode& target = resolved->target();
+    const INodeRec& target = *resident_ptr(chain.back());
     if (!target.is_file()) {
         return Status::failed_precondition(describe("not a file: ", p));
     }
-    if (!check_access(target, user, Access::kRead)) {
+    if (!rec_access(target, user, Access::kRead)) {
         return Status::permission_denied(describe("no read on ", p));
     }
     sessions_[session_id] = {session_id, target.id, expiry};
     ++open_counts_[target.id];
-    return target;
+    return materialize(target);
 }
 
 StatusOr<int64_t>
@@ -1229,12 +1278,13 @@ NamespaceTree::subtree_size(std::string_view p, const UserContext& user) const
     // No-follow, matching remove/rename: subtree ops act on the entry
     // itself, so sizing a final symlink must count the link (1 row),
     // not the target's subtree — and must not fail on a dangling link.
-    auto resolved = resolve(p, user, Follow::kNoFinal);
-    if (!resolved.ok()) {
-        return resolved.status();
+    IdChain chain;
+    Status st = resolve_ids(p, user, Follow::kNoFinal, &chain);
+    if (!st.ok()) {
+        return st;
     }
     int64_t count = 0;
-    std::vector<INodeId> stack{resolved->target().id};
+    std::vector<INodeId> stack{chain.back()};
     while (!stack.empty()) {
         INodeId id = stack.back();
         stack.pop_back();

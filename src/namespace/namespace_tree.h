@@ -489,8 +489,13 @@ class NamespaceTree {
     Status resolve_ids_ex(std::string_view path, const UserContext& user,
                           bool follow_final, int depth, IdChain* out,
                           bool* via_symlink) const;
+    /** resolve_ids of parent(@p path), following a final symlink. */
+    Status resolve_parent_ids(std::string_view path, const UserContext& user,
+                              IdChain* out) const;
     StatusOr<INodeRec*> resolve_mutable_parent(std::string_view path,
                                                const UserContext& user);
+    /** Sorted child names of @p dir (empty unless a directory). */
+    std::vector<std::string> child_names(const INodeRec* dir) const;
     INodeRec& add_node(INodeId parent, std::string_view name, INodeType type,
                        const UserContext& user, sim::SimTime now);
     /**

@@ -55,9 +55,11 @@ inline Delay delay(Simulation& sim, SimTime d) { return Delay(sim, d); }
  * A write-once cell with a single awaiting consumer.
  *
  * The producer side is idempotent: only the first try_set() wins, which is
- * how response-vs-timeout races are resolved. Typically held in a
- * std::shared_ptr so a late producer (e.g. a straggler reply) can still
- * safely call try_set on an already-completed cell.
+ * how response-vs-timeout races are resolved. An RPC's reply cell is
+ * shared between the waiter and every round racing into it, so a late
+ * producer (e.g. a straggler reply) can still safely call try_set on an
+ * already-completed cell; make_shared_one_shot() allocates that shared
+ * cell from the frame pool.
  */
 template <typename T>
 class OneShot {
@@ -134,6 +136,56 @@ class OneShot {
     std::coroutine_handle<> waiter_ = {};
     Simulation::EventId timer_;  ///< pending expire_after timer
 };
+
+/**
+ * Minimal allocator over detail::FramePool, so shared state that lives
+ * exactly as long as the processes sharing it recycles like their frames.
+ */
+template <typename T>
+struct FramePoolAllocator {
+    using value_type = T;
+
+    FramePoolAllocator() = default;
+    template <typename U>
+    FramePoolAllocator(const FramePoolAllocator<U>&) noexcept
+    {
+    }
+
+    T*
+    allocate(size_t n)
+    {
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                      "FramePool blocks have operator new's alignment");
+        return static_cast<T*>(detail::FramePool::allocate(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T* p, size_t n) noexcept
+    {
+        detail::FramePool::deallocate(p, n * sizeof(T));
+    }
+
+    template <typename U>
+    bool
+    operator==(const FramePoolAllocator<U>&) const noexcept
+    {
+        return true;
+    }
+};
+
+/**
+ * A shared OneShot cell (one allocation: object and control block) drawn
+ * from the frame pool, so a warm RPC allocates no reply cell. The cell
+ * may outlive its waiter: a reply landing after the timeout won still
+ * holds a reference and calls try_set on it.
+ */
+template <typename T>
+std::shared_ptr<OneShot<T>>
+make_shared_one_shot(Simulation& sim)
+{
+    return std::allocate_shared<OneShot<T>>(
+        FramePoolAllocator<OneShot<T>>{}, sim);
+}
 
 /**
  * A one-shot broadcast event: any number of processes may wait; set()

@@ -74,16 +74,6 @@ LockTable::Acquire::await_suspend(std::coroutine_handle<> h) noexcept
     row.tail = &waiter_;
 }
 
-sim::Task<void>
-LockTable::lock_exclusive_ordered(std::vector<ns::INodeId> ids)
-{
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (ns::INodeId id : ids) {
-        co_await lock_exclusive(id);
-    }
-}
-
 void
 LockTable::drain(ns::INodeId id, uint32_t slot)
 {
@@ -129,18 +119,6 @@ LockTable::unlock_exclusive(ns::INodeId id)
     assert(slot != kNoRow && rows_[slot].exclusive);
     rows_[slot].exclusive = false;
     drain(id, slot);
-}
-
-void
-LockTable::unlock_exclusive_all(const std::vector<ns::INodeId>& ids)
-{
-    std::vector<ns::INodeId> sorted(ids);
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    // Release in reverse order (harmless either way; mirrors acquisition).
-    for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
-        unlock_exclusive(*it);
-    }
 }
 
 bool

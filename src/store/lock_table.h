@@ -80,15 +80,8 @@ class LockTable {
     /** Acquire an exclusive lock on @p id. */
     Acquire lock_exclusive(ns::INodeId id) { return {*this, id, true}; }
 
-    /**
-     * Acquire exclusive locks on all of @p ids in ascending-id order
-     * (the deadlock-avoidance discipline). Duplicates are ignored.
-     */
-    sim::Task<void> lock_exclusive_ordered(std::vector<ns::INodeId> ids);
-
     void unlock_shared(ns::INodeId id);
     void unlock_exclusive(ns::INodeId id);
-    void unlock_exclusive_all(const std::vector<ns::INodeId>& ids);
 
     /** True if @p id is currently locked in any mode. */
     bool is_locked(ns::INodeId id) const;

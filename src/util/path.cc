@@ -48,6 +48,14 @@ parent(std::string_view p)
 {
     std::string out;
     out.reserve(p.size());
+    assign_parent(out, p);
+    return out;
+}
+
+void
+assign_parent(std::string& out, std::string_view p)
+{
+    out.clear();
     std::string_view prev;
     bool have_prev = false;
     for (std::string_view c : PathView(p)) {
@@ -59,9 +67,8 @@ parent(std::string_view p)
         have_prev = true;
     }
     if (out.empty()) {
-        out = "/";
+        out.push_back('/');
     }
-    return out;
 }
 
 std::string_view

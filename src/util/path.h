@@ -107,6 +107,12 @@ std::vector<std::string> split(std::string_view p);
 std::string parent(std::string_view p);
 
 /**
+ * parent(@p p) written into @p out, reusing its capacity: allocation-free
+ * once @p out has held a path as long. @p p must not view @p out.
+ */
+void assign_parent(std::string& out, std::string_view p);
+
+/**
  * parent without the string copy; views a prefix of @p p (or the static
  * "/"). Not normalized — interior duplicate slashes survive — so use it
  * only with component-wise consumers (PathView walkers like the metadata

@@ -122,31 +122,6 @@ TEST(LockTable, WriterNotStarvedByLateReaders)
     EXPECT_EQ(events, (std::vector<std::string>{"r1", "w", "r2"}));
 }
 
-Task<void>
-co_lock_ordered_pair(Simulation& sim, LockTable& locks, ns::INodeId a,
-                     ns::INodeId b, int& completed)
-{
-    std::vector<ns::INodeId> ids{a, b};
-    co_await locks.lock_exclusive_ordered(ids);
-    co_await sim::delay(sim, sim::msec(1));
-    locks.unlock_exclusive_all(ids);
-    ++completed;
-}
-
-TEST(LockTable, OrderedAcquisitionAvoidsDeadlock)
-{
-    Simulation sim;
-    LockTable locks(sim);
-    int completed = 0;
-    // Opposite-order requests would deadlock without ordering.
-    for (int i = 0; i < 50; ++i) {
-        sim::spawn(co_lock_ordered_pair(sim, locks, 10, 20, completed));
-        sim::spawn(co_lock_ordered_pair(sim, locks, 20, 10, completed));
-    }
-    sim.run();
-    EXPECT_EQ(completed, 100);
-}
-
 using Grants = std::vector<std::pair<std::string, sim::SimTime>>;
 
 Task<void>
@@ -374,6 +349,56 @@ TEST(MetadataStore, ConflictingCreatesOneWinner)
         }
     }
     EXPECT_EQ(winners, 1);
+}
+
+Task<void>
+co_mv_holding(Simulation& sim, MetadataStore& store, Op op, int& completed)
+{
+    // Hold the row locks across a simulated delay, as a coherence round
+    // does, so opposite-direction moves really contend.
+    auto hold = [&sim]() -> Task<void> {
+        co_await sim::delay(sim, sim::msec(1));
+    };
+    OpResult r = co_await store.write_op(op, hold);
+    if (r.status.ok()) {
+        ++completed;
+    }
+}
+
+TEST(MetadataStore, OppositeMovesAcquireLocksInIdOrder)
+{
+    // mv /a/fi -> /b/fi locks {a, a/fi, b} while mv /b/gi -> /a/gi locks
+    // {b, b/gi, a}: textual order would deadlock the pair; the store's
+    // ascending-id acquisition must let all of them commit.
+    StoreFixture f;
+    const ns::UserContext root;
+    f.store.tree().mkdirs("/a", root, 0);
+    f.store.tree().mkdirs("/b", root, 0);
+    const int kPairs = 50;
+    for (int i = 0; i < kPairs; ++i) {
+        f.store.tree().create_file("/a/f" + std::to_string(i), root, 0);
+        f.store.tree().create_file("/b/g" + std::to_string(i), root, 0);
+    }
+    int completed = 0;
+    for (int i = 0; i < kPairs; ++i) {
+        const std::string f_name = "f" + std::to_string(i);
+        const std::string g_name = "g" + std::to_string(i);
+        sim::spawn(co_mv_holding(
+            f.sim, f.store,
+            make_op(OpType::kMv, "/a/" + f_name, "/b/" + f_name),
+            completed));
+        sim::spawn(co_mv_holding(
+            f.sim, f.store,
+            make_op(OpType::kMv, "/b/" + g_name, "/a/" + g_name),
+            completed));
+    }
+    f.sim.run();
+    EXPECT_EQ(completed, 2 * kPairs);
+    // Every move held both parents exclusively for its 1 ms hook.
+    EXPECT_GE(f.sim.now(), sim::msec(2 * kPairs));
+    EXPECT_EQ(f.store.tree().children(f.store.tree().stat("/a", root)->id)
+                  .size(),
+              static_cast<size_t>(kPairs));
 }
 
 TEST(MetadataStore, SubtreeDeleteRemovesEverything)
