@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot data structures: the trie
- * metadata cache, the store's row-lock table, the consistent-hash ring,
- * path utilities, latency histograms, and the DES event loop itself.
+ * metadata cache, the store's row-lock table, the retained-result cache,
+ * the consistent-hash ring, path utilities, latency histograms, and the
+ * DES event loop itself.
  * These guard the simulator's own performance (millions of simulated ops
  * per experiment).
  */
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
+#include "src/core/result_cache.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/random.h"
@@ -242,6 +244,44 @@ BM_LockTableCycle(benchmark::State& state)
     }
 }
 BENCHMARK(BM_LockTableCycle);
+
+sim::Task<void>
+result_cache_round(core::ResultCache& cache, uint64_t op_id,
+                   const OpResult* result)
+{
+    std::optional<OpResult> retained = co_await cache.lookup_or_begin(op_id);
+    if (result != nullptr && !retained.has_value()) {
+        cache.complete(op_id, *result);
+        cache.release(op_id);
+    }
+}
+
+/**
+ * One op's retained-result round on a NameNode: lookup_or_begin finds
+ * the id unseen, complete() records the result, and the client's ack
+ * releases it. 64 ops stay in flight throughout, so every round probes
+ * a populated index.
+ */
+void
+BM_ResultCacheRound(benchmark::State& state)
+{
+    sim::Simulation sim;
+    core::ResultCache cache(sim, 4096);
+    for (uint64_t client = 1; client <= 64; ++client) {
+        sim::spawn(result_cache_round(cache, client << 40, nullptr));
+    }
+    OpResult result;
+    result.inode = make_inode(7);
+    uint64_t seq = 0;
+    for (auto _ : state) {
+        // Client ids as LfsClient stamps them: (client + 1) << 40 | seq.
+        const uint64_t op_id = ((seq % 64 + 1) << 40) | (seq / 64 + 1);
+        sim::spawn(result_cache_round(cache, op_id, &result));
+        benchmark::DoNotOptimize(cache.live());
+        ++seq;
+    }
+}
+BENCHMARK(BM_ResultCacheRound);
 
 void
 BM_ConsistentHashLookup(benchmark::State& state)

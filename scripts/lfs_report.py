@@ -308,8 +308,8 @@ def gate_kernel(baseline, tolerance, kernel_out):
 
 
 def gate_micro(baseline, micro, micro_log):
-    """Cache-walk, namespace and write-path ceilings; appends the
-    trajectory line.
+    """Cache-walk, namespace, write-path and result-cache ceilings;
+    appends the trajectory line.
 
     Per-op real_time (ns) must stay below the checked-in ceiling.
     Ceilings carry their own slack (~2.5x a healthy run), so no further
@@ -321,7 +321,8 @@ def gate_micro(baseline, micro, micro_log):
                    if b.get("time_unit", "ns") == "ns"}
     micro_runs = []
     ceilings = dict(baseline["bench_micro_structures"]["cache_ns_ceiling"])
-    for group in ("namespace_ns_ceiling", "write_path_ns_ceiling"):
+    for group in ("namespace_ns_ceiling", "write_path_ns_ceiling",
+                  "result_cache_ns_ceiling"):
         ceilings.update(baseline["bench_micro_structures"].get(group, {}))
     for case, ceiling in ceilings.items():
         got = micro_times.get(case)

@@ -9,13 +9,15 @@
 #      measured rates so ordinary machine variance never false-fails —
 #      the gate is tuned to catch the >20% regression class, e.g.
 #      reintroducing a per-event heap allocation.
-#   2. bench_micro_structures cache-walk, namespace and write-path cases
-#      (hit/miss/deep/put_chain/prefix-invalidate, resolve_ids/
-#      lookup_child/create, invalidate-with-read-in-flight/lock-table
-#      cycle): per-op nanoseconds must stay below the checked-in
-#      ceilings — the gate for the zero-allocation metadata-cache walk
-#      and guard log (DESIGN.md par.14), the slab-resident namespace hot
-#      paths (par.15) and the flat row-lock table (par.10).
+#   2. bench_micro_structures cache-walk, namespace, write-path and
+#      result-cache cases (hit/miss/deep/put_chain/prefix-invalidate,
+#      resolve_ids/lookup_child/create, invalidate-with-read-in-flight/
+#      lock-table cycle, lookup/complete/release round): per-op
+#      nanoseconds must stay below the checked-in ceilings — the gate
+#      for the zero-allocation metadata-cache walk and guard log
+#      (DESIGN.md par.14), the slab-resident namespace hot paths
+#      (par.15), the flat row-lock table and the retained-result slab
+#      (par.10).
 #   3. bench_fig11_client_scaling at tiny scale: end-to-end sanity that
 #      a full harness still reports [perf] lines and clears its floor.
 #      Pinned to LFS_SWEEP_JOBS=1: the wall-clock floor assumes runs do
@@ -72,7 +74,7 @@ KERNEL_OUT="$(LFS_KERNEL_EVENTS="${LFS_PERF_EVENTS:-300000}" \
     "$BUILD_DIR/bench/bench_kernel")"
 echo "$KERNEL_OUT" | grep '^\[bench_kernel\]'
 
-echo "== perf smoke: bench_micro_structures (cache-walk, namespace, write-path ceilings) =="
+echo "== perf smoke: bench_micro_structures (cache-walk, namespace, write-path, result-cache ceilings) =="
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 MICRO_JSON="$WORK/micro.json"

@@ -346,7 +346,7 @@ MetadataCache::end_read(ReadToken token)
         read_runs_.clear();
         runs_head_ = 0;
         inv_log_.clear();
-        inv_ids_.clear();
+        inv_hashes_.clear();
         log_head_ = 0;
         return;
     }
@@ -366,11 +366,11 @@ MetadataCache::prune_log(uint64_t oldest)
         ++log_head_;
     }
     if (log_head_ == inv_log_.size()) {
-        inv_ids_.clear();
+        inv_hashes_.clear();
     } else if (log_head_ * 2 >= inv_log_.size()) {
         // Rebase the surviving entries onto the compacted arena.
         const uint32_t base = inv_log_[log_head_].begin;
-        inv_ids_.erase(inv_ids_.begin(), inv_ids_.begin() + base);
+        inv_hashes_.erase(inv_hashes_.begin(), inv_hashes_.begin() + base);
         for (size_t i = log_head_; i < inv_log_.size(); ++i) {
             inv_log_[i].begin -= base;
         }
@@ -396,7 +396,7 @@ MetadataCache::log_and_find(std::string_view p, bool prefix)
     // Log even when nothing is cached at p: an in-flight read may be
     // about to install exactly this path, and the invalidation must win.
     const bool log = active_reads_ > 0;
-    const size_t begin = inv_ids_.size();
+    const size_t begin = inv_hashes_.size();
     Node* cur = root_.get();
     for (std::string_view comp : path::PathView(p)) {
         if (!log && cur == nullptr) {
@@ -404,10 +404,10 @@ MetadataCache::log_and_find(std::string_view p, bool prefix)
         }
         const uint64_t h = fnv1a(comp);
         if (log) {
-            // Interned (not found): the invalidated path may never have
-            // been cached, but a racing install of exactly that path
-            // must still match the log — so its components need ids.
-            inv_ids_.push_back(names_.intern(comp, h));
+            // Logged by hash: the invalidated path may never be cached,
+            // and interning its names would keep them resident for the
+            // cache's lifetime.
+            inv_hashes_.push_back(h);
         }
         if (cur != nullptr) {
             cur = cur->children.find(
@@ -417,7 +417,7 @@ MetadataCache::log_and_find(std::string_view p, bool prefix)
     if (log) {
         inv_log_.push_back(
             InvLogEntry{inv_seq_, static_cast<uint32_t>(begin),
-                        static_cast<uint32_t>(inv_ids_.size() - begin),
+                        static_cast<uint32_t>(inv_hashes_.size() - begin),
                         prefix});
     }
     return cur;
@@ -434,30 +434,21 @@ MetadataCache::invalidated_since(std::string_view p, ReadToken token)
     if (first == inv_log_.end()) {
         return false;
     }
-    // Resolve p's ids once, up to its first never-interned component: no
-    // logged path can contain that component, so only shorter prefix
-    // entries can still match beyond it.
-    size_t depth = 0;
-    bool resolving = true;
-    probe_ids_.clear();
+    // Equal paths hash equally, so no logged invalidation is missed; a
+    // 64-bit collision can only discard an install, never keep a stale one.
+    probe_hashes_.clear();
     for (std::string_view comp : path::PathView(p)) {
-        ++depth;
-        if (resolving) {
-            const uint32_t id = names_.find(comp);
-            resolving = id != ns::NameTable::kNoName;
-            if (resolving) {
-                probe_ids_.push_back(id);
-            }
-        }
+        probe_hashes_.push_back(fnv1a(comp));
     }
+    const size_t depth = probe_hashes_.size();
     for (auto it = first; it != inv_log_.end(); ++it) {
         // An entry matches p itself (point or prefix) or, when it is a
         // prefix entry, any path strictly under it.
-        if (it->len > probe_ids_.size() || (it->len < depth && !it->prefix)) {
+        if (it->len > depth || (it->len < depth && !it->prefix)) {
             continue;
         }
-        const auto ids = inv_ids_.begin() + it->begin;
-        if (std::equal(ids, ids + it->len, probe_ids_.begin())) {
+        const auto hashes = inv_hashes_.begin() + it->begin;
+        if (std::equal(hashes, hashes + it->len, probe_hashes_.begin())) {
             return true;
         }
     }

@@ -20,9 +20,10 @@
  * no temporary std::string — a steady-state get performs zero heap
  * allocations. Lookups never intern, so probing for absent paths cannot
  * grow the table. invalidate()/invalidate_prefix() walk the path once:
- * each component's single hash both interns it into the in-flight
- * read-guard log and descends the trie. The log is fixed-size entries
- * over one reused id arena, and installs match it by 4-byte id compares.
+ * each component's single hash both goes into the in-flight read-guard
+ * log and descends the trie. The log is fixed-size entries over one
+ * reused hash arena, and installs match it by 8-byte hash compares;
+ * nothing is interned for an invalidation.
  */
 #pragma once
 
@@ -131,14 +132,15 @@ class MetadataCache {
 
     /**
      * One invalidation observed while >=1 store read was in flight. The
-     * path is stored as its interned component-id sequence — the slice
-     * [begin, begin + len) of inv_ids_ — so matching an install against
-     * the log compares 4-byte ids, not string prefixes, and logging
-     * allocates nothing once the arena has grown to its peak.
+     * path is stored as its component-hash sequence — the slice
+     * [begin, begin + len) of inv_hashes_ — so matching an install
+     * against the log compares 64-bit FNV-1a hashes, not string
+     * prefixes, and logging allocates nothing once the arena has grown
+     * to its peak.
      */
     struct InvLogEntry {
         uint64_t seq = 0;
-        uint32_t begin = 0;  ///< offset into inv_ids_
+        uint32_t begin = 0;  ///< offset into inv_hashes_
         uint32_t len = 0;    ///< component count (0 = "/")
         bool prefix = false;
     };
@@ -151,9 +153,9 @@ class MetadataCache {
 
     /**
      * Single-walk invalidation: bumps the sequence and walks @p path
-     * once, hashing each component once. The same hash interns the
-     * component into the guard log (only while a read is in flight) and
-     * descends the trie. @return the node at @p path, or nullptr.
+     * once, hashing each component once. The same hash is logged for
+     * the guard (only while a read is in flight) and descends the trie.
+     * @return the node at @p path, or nullptr.
      */
     Node* log_and_find(std::string_view path, bool prefix);
     bool invalidated_since(std::string_view path, ReadToken token);
@@ -175,8 +177,8 @@ class MetadataCache {
 
     CacheConfig config_;
     std::unique_ptr<Node> root_;
-    /** Component-name interner: stable spellings for trie nodes, id
-     *  sequences for the invalidation log. Never probed on the get path. */
+    /** Component-name interner: stable spellings for trie nodes. Never
+     *  probed on the get path. */
     ns::NameTable names_;
     size_t entries_ = 0;
     size_t bytes_ = 0;
@@ -202,8 +204,8 @@ class MetadataCache {
     size_t active_reads_ = 0;
     std::vector<InvLogEntry> inv_log_;  ///< ascending seq
     size_t log_head_ = 0;
-    std::vector<uint32_t> inv_ids_;  ///< id arena behind inv_log_
-    std::vector<uint32_t> probe_ids_;  ///< put_guarded's reused id buffer
+    std::vector<uint64_t> inv_hashes_;  ///< hash arena behind inv_log_
+    std::vector<uint64_t> probe_hashes_;  ///< put_guarded's reused buffer
 };
 
 }  // namespace lfs::cache

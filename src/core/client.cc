@@ -109,7 +109,7 @@ LfsClient::in_anti_thrash_mode() const
 
 sim::Task<OpResult>
 LfsClient::issue_tcp(faas::FunctionInstance* instance, faas::Invocation inv,
-                     sim::SimTime timeout)
+                     sim::SimTime timeout, bool& duplicated)
 {
     ++tcp_rpcs_;
     auto cell = sim::make_shared_one_shot<OpResult>(rt_.sim);
@@ -120,6 +120,7 @@ LfsClient::issue_tcp(faas::FunctionInstance* instance, faas::Invocation inv,
     auto request_fault = rt_.network.message_fault(
         sim::FaultChannel::kClientRpc, sim::MessageDirection::kRequest,
         instance->deployment_id());
+    duplicated = request_fault.duplicate;
     if (!request_fault.drop) {
         if (request_fault.duplicate) {
             sim::spawn(co_tcp_round(rt_, instance, inv, cell));
@@ -132,7 +133,7 @@ LfsClient::issue_tcp(faas::FunctionInstance* instance, faas::Invocation inv,
 
 sim::Task<OpResult>
 LfsClient::issue_http(int deployment, faas::Invocation inv,
-                      sim::SimTime timeout)
+                      sim::SimTime timeout, bool& duplicated)
 {
     ++http_rpcs_;
     auto cell = sim::make_shared_one_shot<OpResult>(rt_.sim);
@@ -140,6 +141,7 @@ LfsClient::issue_http(int deployment, faas::Invocation inv,
     auto request_fault = rt_.network.message_fault(
         sim::FaultChannel::kGateway, sim::MessageDirection::kRequest,
         deployment);
+    duplicated = request_fault.duplicate;
     if (!request_fault.drop) {
         if (request_fault.duplicate) {
             sim::spawn(co_http_round(rt_, platform_, deployment, inv, cell));
@@ -298,6 +300,10 @@ LfsClient::execute(Op op)
                 std::max<sim::SimTime>(op.deadline - rt_.sim.now(), 1);
             return std::min(timeout, remaining);
         };
+        // The deployment whose retained results dedup this attempt:
+        // anti-thrashing may route a TCP attempt away from `target`.
+        const int served_by = use_http ? target : conn->deployment_id();
+        bool duplicated = false;
         if (use_http) {
             // Subtree operations legitimately run for many seconds
             // (Table 3): they must not be resubmitted on a timeout.
@@ -305,7 +311,8 @@ LfsClient::execute(Op op)
                                             ? sim::sec(1800)
                                             : config_.http_timeout;
             result = co_await issue_http(target, std::move(inv),
-                                         clamp_to_deadline(http_timeout));
+                                         clamp_to_deadline(http_timeout),
+                                         duplicated);
         } else {
             sim::SimTime timeout =
                 config_.straggler_mitigation
@@ -320,7 +327,8 @@ LfsClient::execute(Op op)
                 timeout = sim::sec(1800);
             }
             result = co_await issue_tcp(conn, std::move(inv),
-                                        clamp_to_deadline(timeout));
+                                        clamp_to_deadline(timeout),
+                                        duplicated);
         }
         sim::SimTime latency = rt_.sim.now() - attempt_start;
         attempt_span.annotate("status", result.status.ok()
@@ -350,6 +358,13 @@ LfsClient::execute(Op op)
             may_have_committed = true;
         }
         if (!retryable_code(result.status.code())) {
+            // Client ack (RIFL-style, piggybacked and free): a first
+            // attempt sent once and answered by the server was the op's
+            // only request copy, and it has already passed complete(),
+            // so nothing can look its retained result up again.
+            if (attempt == 1 && !duplicated) {
+                rt_.result_cache(served_by).release(op.op_id);
+            }
             // Non-idempotent-op reconciliation: a create resubmitted
             // after an ambiguous attempt (reply lost, instance died
             // post-commit) can collide with its own earlier commit and

@@ -82,13 +82,17 @@ class LfsClient : public workload::DfsClient {
     bool in_anti_thrash_mode() const;
 
   private:
-    /** One TCP attempt with a timeout; late replies are discarded. */
+    /**
+     * One TCP attempt with a timeout; late replies are discarded. Sets
+     * @p duplicated when the FaultPlan sent the request twice.
+     */
     sim::Task<OpResult> issue_tcp(faas::FunctionInstance* instance,
-                                  faas::Invocation inv, sim::SimTime timeout);
+                                  faas::Invocation inv, sim::SimTime timeout,
+                                  bool& duplicated);
 
-    /** One HTTP attempt with a timeout. */
+    /** One HTTP attempt with a timeout; @p duplicated as for issue_tcp. */
     sim::Task<OpResult> issue_http(int deployment, faas::Invocation inv,
-                                   sim::SimTime timeout);
+                                   sim::SimTime timeout, bool& duplicated);
 
     /**
      * Pre-retry sleep. Exponential + jitter by default; with

@@ -109,6 +109,10 @@ class LambdaFs : public workload::Dfs {
     TcpRegistry& tcp_registry() { return tcp_registry_; }
     const NamespacePartitioner& partitioner() const { return partitioner_; }
     LfsClient& lfs_client(size_t index) { return *clients_[index]; }
+    ResultCache& result_cache(int deployment)
+    {
+        return *result_caches_[static_cast<size_t>(deployment)];
+    }
     const LambdaFsConfig& config() const { return config_; }
 
     /** Kill one NameNode of deployment @p deployment (fault injection). */

@@ -52,7 +52,11 @@ struct NameNodeConfig {
     bool offload_subtree = true;
     /** Max helper NameNodes recruited for one subtree operation. */
     int max_offload_helpers = 8;
-    /** Retained results per deployment for resubmission deduplication. */
+    /**
+     * Retention window of a deployment's resubmission-dedup results, in
+     * completions: an unreleased record expires this many completions
+     * later (see ResultCache).
+     */
     size_t result_cache_entries = 4096;
     /** Interval for publishing block reports / liveness to the store. */
     sim::SimTime report_interval = sim::sec(10);

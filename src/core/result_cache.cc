@@ -86,10 +86,10 @@ ResultCache::insert(uint64_t op_id, uint32_t slot)
 }
 
 void
-ResultCache::erase(uint64_t op_id)
+ResultCache::erase(Cell* cell)
 {
     const size_t mask = index_.size() - 1;
-    size_t hole = static_cast<size_t>(find(op_id) - index_.data());
+    size_t hole = static_cast<size_t>(cell - index_.data());
     // Pull later cells of the probe run back over the hole when the hole
     // lies between their home and their current position.
     for (size_t j = (hole + 1) & mask; index_[j].op_id != 0;
@@ -107,18 +107,41 @@ ResultCache::erase(uint64_t op_id)
 uint32_t
 ResultCache::claim_slot()
 {
-    if (ring_.size() < capacity_) {
-        if (ring_.size() == ring_.capacity()) {
-            ring_.reserve(std::min(capacity_,
-                                   std::max<size_t>(16, 2 * ring_.size())));
-        }
-        ring_.emplace_back();
-        return static_cast<uint32_t>(ring_.size() - 1);
+    uint32_t slot;
+    if (!free_.empty()) {
+        slot = free_.back();  // LIFO: the warmest buffers come back first
+        free_.pop_back();
+    } else {
+        slot = static_cast<uint32_t>(slots_.size());
+        slots_.emplace_back();
     }
-    auto slot = static_cast<uint32_t>(oldest_);
-    oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
-    erase(ring_[slot].op_id);
+    Slot& s = slots_[slot];
+    s.prev = newest_;
+    s.next = kNone;
+    if (newest_ != kNone) {
+        slots_[newest_].next = slot;
+    } else {
+        oldest_ = slot;
+    }
+    newest_ = slot;
     return slot;
+}
+
+void
+ResultCache::free_slot(uint32_t slot)
+{
+    Slot& s = slots_[slot];
+    if (s.prev != kNone) {
+        slots_[s.prev].next = s.next;
+    } else {
+        oldest_ = s.next;
+    }
+    if (s.next != kNone) {
+        slots_[s.next].prev = s.prev;
+    } else {
+        newest_ = s.prev;
+    }
+    free_.push_back(slot);
 }
 
 sim::Task<std::optional<OpResult>>
@@ -134,7 +157,7 @@ ResultCache::lookup_or_begin(uint64_t op_id)
     }
     ++hits_;
     if (cell->slot != kInFlight) {
-        co_return ring_[cell->slot].result.to_result();
+        co_return slots_[cell->slot].result.to_result();
     }
     // Join the original execution: shared_ptr keeps the entry alive
     // across complete()'s erase, and coroutines always run to
@@ -166,14 +189,42 @@ ResultCache::complete(uint64_t op_id, const OpResult& result)
             joined_.erase(it);
         }
     }
-    uint32_t slot = claim_slot();  // may move cells: look op_id up again
-    ring_[slot].op_id = op_id;
-    ring_[slot].result.assign(result);
+    // Expire every record that falls out of the last capacity_
+    // completions, this one included: exactly the records a FIFO ring of
+    // capacity_ slots would have overwritten by now.
+    ++completions_;
+    while (oldest_ != kNone &&
+           completions_ - slots_[oldest_].completion >= capacity_) {
+        const uint32_t expired = oldest_;
+        erase(find(slots_[expired].op_id));
+        free_slot(expired);
+    }
+    uint32_t slot = claim_slot();
+    Slot& s = slots_[slot];
+    s.op_id = op_id;
+    s.completion = completions_;
+    s.result.assign(result);
+    // Erasures may have moved op_id's cell: look it up again.
     if (Cell* c = find(op_id); c != nullptr) {
         c->slot = slot;
     } else {
         insert(op_id, slot);
     }
+}
+
+void
+ResultCache::release(uint64_t op_id)
+{
+    if (op_id == 0) {
+        return;
+    }
+    Cell* cell = find(op_id);
+    if (cell == nullptr || cell->slot == kInFlight) {
+        return;
+    }
+    const uint32_t slot = cell->slot;
+    erase(cell);
+    free_slot(slot);
 }
 
 }  // namespace lfs::core

@@ -24,14 +24,23 @@
  * shared persistent store; the simulator charges the lookup through the
  * NameNode's compute path at its call sites.
  *
- * Layout (DESIGN.md §10): done results sit in a FIFO ring that grows as
- * results arrive, up to capacity, and then overwrites its oldest slot —
- * the eviction order of an insertion-ordered queue. An open-addressing
- * op_id table indexes the ring and marks in-flight ids. A slot keeps only
- * what a resubmitting client can observe (no resolved chain, ledger or
- * trace id), and its strings and vectors are reused in place, so a warm
- * lookup/complete round allocates nothing. A completion gate exists only
- * for ids a duplicate actually joined.
+ * Retention (DESIGN.md §10): a done result stays visible until the
+ * first of two events. Either the client releases it (release(): the
+ * op's only attempt has been answered, so no copy of the request can
+ * still reach a NameNode), or it falls out of the last `capacity`
+ * completions at this deployment. Released completions still count
+ * toward that window, so an unreleased record expires exactly when a
+ * FIFO ring of `capacity` slots would have overwritten it.
+ *
+ * Layout: done results live in a slab of slots that grows only with the
+ * number of live records. Live slots are linked in completion order on
+ * an intrusive FIFO list, whose head is the next to expire; freed slots
+ * go on a LIFO free list. An open-addressing op_id table indexes the slots
+ * and marks in-flight ids. A slot keeps only what a resubmitting client
+ * can observe (no resolved chain, ledger or trace id), and its strings
+ * and vectors are reused in place, so a warm lookup/complete/release
+ * round allocates nothing. A completion gate exists only for ids a
+ * duplicate actually joined.
  */
 #pragma once
 
@@ -51,7 +60,11 @@ namespace lfs::core {
 
 class ResultCache {
   public:
-    /** @p capacity bounds retained *done* results (0 disables caching). */
+    /**
+     * @p capacity is the retention window in completions: a record
+     * unreleased after that many later completions expires (0 disables
+     * caching).
+     */
     ResultCache(sim::Simulation& sim, size_t capacity);
 
     /**
@@ -67,7 +80,16 @@ class ResultCache {
     /** Record @p op_id's outcome and release any joined resubmissions. */
     void complete(uint64_t op_id, const OpResult& result);
 
+    /**
+     * Drop @p op_id's retained result: its client has the answer and no
+     * copy of the request is still on its way. No-op for an id that is
+     * absent, still in flight, or already expired.
+     */
+    void release(uint64_t op_id);
+
     uint64_t hits() const { return hits_; }
+    /** Done results currently retained. */
+    size_t live() const { return slots_.size() - free_.size(); }
 
   private:
     /** The fields of an OpResult a resubmitted client can observe. */
@@ -85,8 +107,13 @@ class ResultCache {
         OpResult to_result() const;
     };
 
+    static constexpr uint32_t kNone = ~uint32_t{0};
+
     struct Slot {
         uint64_t op_id = 0;
+        uint64_t completion = 0;  ///< this deployment's completion count
+        uint32_t prev = kNone;    ///< FIFO neighbours (completion order)
+        uint32_t next = kNone;
         Retained result;
     };
 
@@ -97,7 +124,7 @@ class ResultCache {
         Retained result;
     };
 
-    /** Index cell: op_id (0 = empty) -> ring slot, or kInFlight. */
+    /** Index cell: op_id (0 = empty) -> slot, or kInFlight. */
     struct Cell {
         uint64_t op_id = 0;
         uint32_t slot = 0;
@@ -109,16 +136,21 @@ class ResultCache {
     Cell* find(uint64_t op_id);
     /** Map @p op_id (absent) to @p slot, growing the table under load. */
     void insert(uint64_t op_id, uint32_t slot);
-    /** Remove @p op_id (present) by backward-shift deletion. */
-    void erase(uint64_t op_id);
-    /** The ring slot for the next done result, evicting the oldest. */
+    /** Remove @p cell (occupied) by backward-shift deletion. */
+    void erase(Cell* cell);
+    /** A free slot, appended to the FIFO list as the newest record. */
     uint32_t claim_slot();
+    /** Unlink @p slot from the FIFO list and free it (index untouched). */
+    void free_slot(uint32_t slot);
 
     sim::Simulation& sim_;
     size_t capacity_;
     uint64_t hits_ = 0;
-    std::vector<Slot> ring_;  ///< done results; wraps once at capacity_
-    size_t oldest_ = 0;       ///< slot to overwrite next once ring_ is full
+    uint64_t completions_ = 0;  ///< recorded completions so far
+    std::vector<Slot> slots_;   ///< slab; grows only with live records
+    std::vector<uint32_t> free_;  ///< LIFO free list into slots_
+    uint32_t oldest_ = kNone;   ///< FIFO head: next record to expire
+    uint32_t newest_ = kNone;   ///< FIFO tail
     std::vector<Cell> index_; ///< linear probing, power-of-two size
     size_t index_used_ = 0;
     int index_shift_ = 64;    ///< 64 - log2(index_.size())

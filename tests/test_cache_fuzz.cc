@@ -4,7 +4,7 @@
  * correct reference model (std::map<std::string, INode>), plus targeted
  * regressions for the interned-trie rewrite (DESIGN.md §14): guarded
  * installs racing invalidations must still lose after the switch from
- * string-prefix matching to interned-id matching.
+ * string-prefix matching to component-hash matching.
  *
  * Two regimes:
  *   - unlimited budget: the cache must agree with the model exactly on
@@ -281,7 +281,7 @@ TEST(CacheGuardRegression, PointInvalidationStillBeatsLateInstall)
     cache::MetadataCache cache;
     auto token = cache.begin_read();
     // The racing invalidation names a path the cache has NEVER seen —
-    // its components must still be interned into the log and matched.
+    // its components must still be logged and matched.
     cache.invalidate("/never/cached/file");
     cache.put_guarded("/never/cached/file", make_inode(1, "file"), token);
     cache.end_read(token);
@@ -306,8 +306,8 @@ TEST(CacheGuardRegression, PrefixInvalidationStillBeatsLateInstall)
 
 TEST(CacheGuardRegression, SharedSpellingDoesNotFalseMatch)
 {
-    // Interned ids are shared across directories; matching must compare
-    // the full component sequence, not mere id membership.
+    // Component hashes are shared across directories; matching must
+    // compare the full component sequence, not mere hash membership.
     cache::MetadataCache cache;
     cache.put("/x/data", make_inode(1, "data"));
     auto token = cache.begin_read();
@@ -317,6 +317,26 @@ TEST(CacheGuardRegression, SharedSpellingDoesNotFalseMatch)
     EXPECT_TRUE(cache.contains("/x/data"));
     EXPECT_TRUE(cache.contains("/x/other"));
     EXPECT_EQ(cache.guard_rejections(), 0u);
+}
+
+TEST(CacheGuardRegression, LoggedInvalidationsInternNothing)
+{
+    // The log keeps component hashes, so invalidating never-cached
+    // names under a read in flight leaves the cache's interner alone.
+    cache::MetadataCache cache;
+    cache.put("/warm/f", make_inode(1, "f"));
+    const size_t interned = cache.interned_names();
+    auto token = cache.begin_read();
+    for (int i = 0; i < 1000; ++i) {
+        cache.invalidate("/churn/d" + std::to_string(i % 10) + "/f" +
+                         std::to_string(i));
+    }
+    cache.invalidate_prefix("/churn/gone");
+    EXPECT_EQ(cache.interned_names(), interned);
+    cache.put_guarded("/churn/d3/f3", make_inode(2, "f3"), token);
+    cache.put_guarded("/churn/gone/x", make_inode(3, "x"), token);
+    cache.end_read(token);
+    EXPECT_EQ(cache.guard_rejections(), 2u);
 }
 
 // ----------------------------------------------------------------------
@@ -397,7 +417,7 @@ TEST(CacheGuardReference, DecisionsMatchPlainModel)
 {
     // Invalidated paths draw from a small tree of spellings shared
     // across directories; installs also use spellings that are never
-    // invalidated (never interned into the log) and deeper paths.
+    // invalidated (never logged) and deeper paths.
     const std::vector<std::string> comps = {"a", "b", "c", "data"};
     const std::vector<std::string> fresh = {"zz", "q1", "q2"};
     for (uint64_t seed = 1; seed <= 20; ++seed) {

@@ -192,9 +192,9 @@ invalidation_round(cache::MetadataCache& cache,
 
 TEST(CacheZeroAlloc, InvalidateWithReadInFlightAllocatesNothing)
 {
-    // The guard log interns each invalidated path into one reused id
-    // arena and fixed-size entries: once the names are interned and the
-    // log has grown to its peak, logging allocates nothing.
+    // The guard log keeps each invalidated path's component hashes in
+    // one reused arena and fixed-size entries: once the log has grown to
+    // its peak, logging allocates nothing.
     cache::MetadataCache cache;
     std::vector<std::string> cached;
     std::vector<std::string> absent;
@@ -209,7 +209,7 @@ TEST(CacheZeroAlloc, InvalidateWithReadInFlightAllocatesNothing)
         }
     };
     install();
-    invalidation_round(cache, cached, absent);  // warm-up: interning
+    invalidation_round(cache, cached, absent);  // warm-up
     invalidation_round(cache, cached, absent);  // warm-up: peak log
     const uint64_t rejected = cache.guard_rejections();
 

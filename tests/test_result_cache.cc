@@ -2,17 +2,23 @@
  * @file
  * Unit tests for the deployment-scoped retained-result cache (§3.2):
  * done hits, in-flight joins, first-completion-wins, FIFO eviction,
- * the disabled mode, and an allocation-free warm round.
+ * client release checked against a model of the FIFO ring, the disabled
+ * mode, and an allocation-free warm round.
  *
  * The zero-allocation proof instruments the global allocator, so this
  * suite lives in its own binary (one executable per test_*.cc).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <new>
 #include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -242,9 +248,297 @@ TEST(ResultCache, ZeroCapacityDisablesCaching)
     EXPECT_EQ(cache.hits(), 0u);
 }
 
+TEST(ResultCache, ReleaseDropsOnlyADoneRecord)
+{
+    sim::Simulation sim;
+    ResultCache cache(sim, 4);
+    // In flight: release is a no-op and the completion is retained.
+    EXPECT_FALSE(lookup(sim, cache, 1).has_value());
+    cache.release(1);
+    cache.complete(1, make_result(10));
+    EXPECT_EQ(cache.live(), 1u);
+    ASSERT_TRUE(lookup(sim, cache, 1).has_value());
+    // Unknown ids (and the untracked id 0) are no-ops.
+    cache.release(99);
+    cache.release(0);
+    EXPECT_EQ(cache.live(), 1u);
+    // Done: released, so a later lookup executes afresh.
+    cache.release(1);
+    EXPECT_EQ(cache.live(), 0u);
+    EXPECT_FALSE(lookup(sim, cache, 1).has_value());
+    cache.complete(1, make_result(11));
+    EXPECT_EQ(lookup(sim, cache, 1)->inode.id, static_cast<ns::INodeId>(11));
+}
+
+TEST(ResultCache, ReleaseOfAnExpiredIdLeavesTheWindowAlone)
+{
+    sim::Simulation sim;
+    ResultCache cache(sim, 3);
+    for (uint64_t id = 1; id <= 4; ++id) {
+        EXPECT_FALSE(lookup(sim, cache, id).has_value());
+        cache.complete(id, make_result(static_cast<int64_t>(10 * id)));
+    }
+    EXPECT_EQ(cache.live(), 3u);
+    cache.release(1);  // expired by the fourth completion
+    EXPECT_EQ(cache.live(), 3u);
+    for (uint64_t id = 2; id <= 4; ++id) {
+        EXPECT_TRUE(lookup(sim, cache, id).has_value()) << id;
+    }
+}
+
+TEST(ResultCache, ReleasedCompletionsStillAdvanceTheWindow)
+{
+    sim::Simulation sim;
+    ResultCache cache(sim, 3);
+    // 1 stays unreleased; 2 and 3 are released at once. Completing 4
+    // puts 1 outside the last three completions, exactly as the ring of
+    // three slots would have overwritten it.
+    for (uint64_t id = 1; id <= 3; ++id) {
+        EXPECT_FALSE(lookup(sim, cache, id).has_value());
+        cache.complete(id, make_result(static_cast<int64_t>(id)));
+        if (id > 1) {
+            cache.release(id);
+        }
+    }
+    EXPECT_EQ(cache.live(), 1u);
+    EXPECT_FALSE(lookup(sim, cache, 4).has_value());
+    cache.complete(4, make_result(4));
+    EXPECT_EQ(cache.live(), 1u);  // 4 in, 1 expired
+    EXPECT_FALSE(lookup(sim, cache, 1).has_value());
+}
+
+/**
+ * The retention the cache must reproduce: a FIFO ring of `capacity`
+ * done results (first completion wins) without any release. Release
+ * only marks a retained entry, for counting live records.
+ */
+class RingModel {
+  public:
+    explicit RingModel(size_t capacity) : capacity_(capacity) {}
+
+    /** Hit: the retained payload. Miss: the id is now in flight. */
+    std::optional<int64_t> lookup(uint64_t op_id)
+    {
+        if (const Entry* e = find(op_id)) {
+            ++hits_;
+            return e->payload;
+        }
+        in_flight_.insert(op_id);
+        return std::nullopt;
+    }
+
+    void join() { ++hits_; }
+
+    void complete(uint64_t op_id, int64_t payload)
+    {
+        if (find(op_id) != nullptr) {
+            return;
+        }
+        in_flight_.erase(op_id);
+        done_.push_back(Entry{op_id, payload, false});
+        if (done_.size() > capacity_) {
+            done_.pop_front();
+        }
+    }
+
+    void release(uint64_t op_id)
+    {
+        if (Entry* e = find(op_id)) {
+            e->released = true;
+        }
+    }
+
+    bool in_flight(uint64_t op_id) const { return in_flight_.count(op_id); }
+    const std::set<uint64_t>& in_flight_ids() const { return in_flight_; }
+    uint64_t hits() const { return hits_; }
+
+    size_t unreleased() const
+    {
+        return static_cast<size_t>(
+            std::count_if(done_.begin(), done_.end(),
+                          [](const Entry& e) { return !e.released; }));
+    }
+
+  private:
+    struct Entry {
+        uint64_t op_id;
+        int64_t payload;
+        bool released;
+    };
+
+    Entry* find(uint64_t op_id)
+    {
+        auto it = std::find_if(done_.begin(), done_.end(),
+                               [op_id](const Entry& e) {
+                                   return e.op_id == op_id;
+                               });
+        return it == done_.end() ? nullptr : &*it;
+    }
+
+    size_t capacity_;
+    std::deque<Entry> done_;
+    std::set<uint64_t> in_flight_;
+    uint64_t hits_ = 0;
+};
+
+enum class Step { kLookup, kJoin, kComplete, kRelease };
+
+struct Action {
+    Step step;
+    uint64_t op_id;
+};
+
+/**
+ * A seeded stream of fresh lookups, re-lookups of done ids, joins of
+ * in-flight ids, completions (some of done ids: first completion wins),
+ * and releases of in-flight and never-seen ids. Generated against the
+ * ring model, which decides what is in flight. Then releases of done
+ * ids are spliced in, each after the id's last reference, so no later
+ * step of the stream can observe them.
+ */
+std::vector<Action>
+make_stream(uint64_t seed, size_t capacity, int steps)
+{
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    RingModel ring(capacity);
+    std::vector<Action> stream;
+    std::vector<uint64_t> done;  // ids completed at least once
+    uint64_t next_id = 0;
+    for (int i = 0; i < steps; ++i) {
+        const auto& in_flight = ring.in_flight_ids();
+        auto any_in_flight = [&] {
+            return *std::next(in_flight.begin(),
+                              static_cast<long>(pick(in_flight.size())));
+        };
+        const size_t r = pick(100);
+        if (r < 25 || (in_flight.empty() && r < 70)) {
+            const uint64_t id = ++next_id << 8;  // spread over the index
+            ring.lookup(id);
+            stream.push_back({Step::kLookup, id});
+        } else if (r < 35) {
+            ring.join();
+            stream.push_back({Step::kJoin, any_in_flight()});
+        } else if (r < 70) {
+            const uint64_t id = any_in_flight();
+            ring.complete(id, static_cast<int64_t>(i));
+            done.push_back(id);
+            stream.push_back({Step::kComplete, id});
+        } else if (r < 95) {
+            // A done id again: looked up, or completed a second time.
+            const uint64_t id = done.empty() ? 0 : done[pick(done.size())];
+            if (id == 0 || ring.in_flight(id)) {
+                continue;
+            }
+            if (r < 90) {
+                ring.lookup(id);
+                stream.push_back({Step::kLookup, id});
+            } else {
+                ring.complete(id, static_cast<int64_t>(i));
+                stream.push_back({Step::kComplete, id});
+            }
+        } else if (r < 98 && !in_flight.empty()) {
+            stream.push_back({Step::kRelease, any_in_flight()});
+        } else {
+            stream.push_back({Step::kRelease, (++next_id << 8) | 1});
+        }
+    }
+    std::map<uint64_t, size_t> last_ref;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        if (stream[i].step != Step::kRelease) {
+            last_ref[stream[i].op_id] = i;
+        }
+    }
+    std::multimap<size_t, uint64_t> releases;  // insert before position
+    for (const auto& [id, i] : last_ref) {
+        if (stream[i].step == Step::kComplete && pick(4) != 0) {
+            // Mostly soon after the completion, sometimes long after it
+            // (by then the record may already have expired).
+            const size_t delay = pick(8) == 0 ? pick(4 * capacity)
+                                              : pick(8);
+            releases.emplace(std::min(stream.size(), i + 1 + delay), id);
+        }
+    }
+    std::vector<Action> out;
+    auto next_release = releases.begin();
+    for (size_t i = 0; i <= stream.size(); ++i) {
+        for (; next_release != releases.end() && next_release->first == i;
+             ++next_release) {
+            out.push_back({Step::kRelease, next_release->second});
+        }
+        if (i < stream.size()) {
+            out.push_back(stream[i]);
+        }
+    }
+    return out;
+}
+
+TEST(ResultCache, ReleaseMatchesTheFifoRingOnSeededStreams)
+{
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const size_t capacity = 4 + 5 * (seed % 4);
+        const std::vector<Action> stream = make_stream(seed, capacity, 3000);
+        sim::Simulation sim;
+        ResultCache cache(sim, capacity);
+        RingModel ring(capacity);
+        std::deque<std::optional<OpResult>> join_outs;  // stable addresses
+        std::map<uint64_t, std::vector<std::optional<OpResult>*>> joined;
+        size_t releases_of_done = 0;
+        for (size_t i = 0; i < stream.size(); ++i) {
+            const Action& a = stream[i];
+            const auto payload = static_cast<int64_t>(i + 1);
+            switch (a.step) {
+            case Step::kLookup: {
+                std::optional<int64_t> want = ring.lookup(a.op_id);
+                std::optional<OpResult> got = lookup(sim, cache, a.op_id);
+                ASSERT_EQ(got.has_value(), want.has_value()) << "step " << i;
+                if (want.has_value()) {
+                    expect_same_observable(*got, make_result(*want));
+                }
+                break;
+            }
+            case Step::kJoin:
+                ring.join();
+                join_outs.emplace_back();
+                joined[a.op_id].push_back(&join_outs.back());
+                sim::spawn(co_lookup(cache, a.op_id, join_outs.back()));
+                sim.run();
+                ASSERT_FALSE(join_outs.back().has_value()) << "step " << i;
+                break;
+            case Step::kComplete: {
+                // Joins resolve with the first completion of the id.
+                const bool first = ring.in_flight(a.op_id);
+                ring.complete(a.op_id, payload);
+                cache.complete(a.op_id, make_result(payload));
+                sim.run();
+                for (std::optional<OpResult>* out : joined[a.op_id]) {
+                    ASSERT_TRUE(first);
+                    ASSERT_TRUE(out->has_value()) << "step " << i;
+                    expect_same_observable(**out, make_result(payload));
+                }
+                joined.erase(a.op_id);
+                break;
+            }
+            case Step::kRelease:
+                if (!ring.in_flight(a.op_id)) {
+                    ++releases_of_done;
+                }
+                ring.release(a.op_id);
+                cache.release(a.op_id);
+                break;
+            }
+            ASSERT_EQ(cache.hits(), ring.hits()) << "step " << i;
+            ASSERT_EQ(cache.live(), ring.unreleased()) << "step " << i;
+        }
+        EXPECT_GT(releases_of_done, 100u);
+        EXPECT_GT(ring.hits(), 100u);
+    }
+}
+
 sim::Task<void>
 co_rounds(ResultCache& cache, uint64_t first_id, int rounds,
-          const OpResult& result, int& misses)
+          const OpResult& result, int& misses, bool release = false)
 {
     for (int i = 0; i < rounds; ++i) {
         uint64_t id = first_id + static_cast<uint64_t>(i);
@@ -252,6 +546,9 @@ co_rounds(ResultCache& cache, uint64_t first_id, int rounds,
         if (!retained.has_value()) {
             ++misses;
             cache.complete(id, result);
+            if (release) {
+                cache.release(id);
+            }
         }
     }
 }
@@ -279,6 +576,24 @@ TEST(ResultCache, WarmLookupCompleteRoundMakesNoHeapCalls)
     EXPECT_EQ(misses, 2 * static_cast<int>(capacity));
     EXPECT_EQ(heap_calls, 0u)
         << "a warm lookup_or_begin + complete round touched the heap";
+
+    // The released round: the record dies with the op, and the next
+    // completion reuses its slot (and buffers) from the free list. Warm
+    // up until every unreleased record above has expired, so the free
+    // list has reached its working size.
+    sim::spawn(co_rounds(cache, 200000, 2 * static_cast<int>(capacity),
+                         result, misses, /*release=*/true));
+    sim.run();
+    misses = 0;
+    const uint64_t before_release = g_heap_calls;
+    sim::spawn(co_rounds(cache, 300000, 2 * static_cast<int>(capacity),
+                         result, misses, /*release=*/true));
+    sim.run();
+    EXPECT_EQ(misses, 2 * static_cast<int>(capacity));
+    EXPECT_EQ(g_heap_calls - before_release, 0u)
+        << "a warm lookup_or_begin + complete + release round touched "
+           "the heap";
+    EXPECT_EQ(cache.live(), 0u);
 }
 
 }  // namespace
