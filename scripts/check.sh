@@ -2,11 +2,13 @@
 #
 # Tier-1 verification plus an observability smoke test:
 #   1. configure + build everything
-#   2. run the full ctest suite
+#   2. run the full ctest suite, then Fig 16 (bench_fig16_indexfs) at
+#      smoke scale: the IndexFS and λIndexFS paths end to end
 #   3. rebuild with AddressSanitizer + UBSan and rerun the suite, plus
-#      a forked-sweep smoke and a two-tier namespace paging smoke (a
-#      sub-resident budget drives the evict/fault/compact paths) under
-#      the sanitizers (set LFS_SKIP_SANITIZE=1 to skip this pass)
+#      a forked-sweep smoke, a two-tier namespace paging smoke (a
+#      sub-resident budget drives the evict/fault/compact paths) and a
+#      small Fig 16 run under the sanitizers (set LFS_SKIP_SANITIZE=1 to
+#      skip this pass)
 #   4. run one bench harness at tiny scale with --trace-out/--metrics-out
 #      and confirm both artifacts are valid JSON with the expected shape
 #   5. run a tiny bench with --attribution and confirm the latency
@@ -37,6 +39,11 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+echo "== Fig 16 smoke (IndexFS + λIndexFS end to end) =="
+LFS_TT_FIXED_TOTAL=20000 LFS_TT_PER_CLIENT=200 \
+    "$BUILD_DIR/bench/bench_fig16_indexfs" >/dev/null
+echo "  ok: bench_fig16_indexfs ran at smoke scale"
 
 # Gated static analysis: the container image does not ship clang-tidy,
 # so the pass runs only where the tool exists (checks configured in
@@ -74,6 +81,11 @@ if [[ "${LFS_SKIP_SANITIZE:-0}" != "1" ]]; then
         LFS_SWEEP_JOBS=2 \
         "$BUILD_DIR-asan/bench/bench_namespace_scale" >/dev/null
     echo "  ok: two-tier paging clean under ASan+UBSan"
+    echo "== ASan Fig 16 smoke (IndexFS + λIndexFS) =="
+    ASAN_OPTIONS=detect_leaks=0 \
+        LFS_TT_FIXED_TOTAL=8000 LFS_TT_PER_CLIENT=80 \
+        "$BUILD_DIR-asan/bench/bench_fig16_indexfs" >/dev/null
+    echo "  ok: bench_fig16_indexfs clean under ASan+UBSan"
 else
     echo "== ASan + UBSan pass skipped (LFS_SKIP_SANITIZE=1) =="
 fi

@@ -7,20 +7,21 @@
  * authors developed with the IndexFS authors, §4). Clients cache read
  * results under short leases (IndexFS' stateless client caching).
  *
- * The namespace semantics here are the metadata-table subset that
- * IndexFS' tree-test exercises: mknod (create) and getattr (stat) over a
- * flat path keyspace, plus delete; a mirror NamespaceTree tracks the
- * logical namespace for workload setup.
+ * One NamespaceTree holds the namespace and every op applies through
+ * ns::apply; the servers' LSM instances are the timing backend
+ * (lsm_timing.h). IndexFS serves the point ops of its metadata table —
+ * create, mkdir, delete, symlink, hard link, setattr, sessions, GC,
+ * stat, read and statfs — and rejects mv, the subtree ops and ls.
  */
 #pragma once
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
 #include "src/cost/pricing.h"
-#include "src/indexfs/flat_registry.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/net/network.h"
@@ -56,25 +57,32 @@ class IndexFsServer {
     IndexFsServer(IndexFs& fs, sim::Simulation& sim, sim::Rng rng,
                   const IndexFsConfig& config, int id);
 
-    sim::Task<OpResult> serve(Op op, sim::SimTime now_version);
+    /**
+     * Serve a one-partition @p op: spend this server's CPU, apply the op
+     * to the namespace, then charge its row calls to this server's LSM.
+     */
+    sim::Task<OpResult> serve(const Op& op);
+
+    /**
+     * Spend this server's CPU on one partition of a namespace-wide sweep
+     * (statfs, GC; @p key null) or on one symlink hop of a read, whose
+     * row @p key is then fetched. Applies nothing.
+     */
+    sim::Task<OpResult> visit(const std::string* key);
 
     lsm::LsmTree& lsm() { return lsm_; }
-    /** Row-type bookkeeping for this partition (statfs counters). */
-    RowRegistry& rows() { return rows_; }
     int id() const { return id_; }
 
-    /** This partition's statfs contribution (rows + session state). */
-    ns::FsStats local_stats() const;
-
   private:
+    /** Queue for and spend the CPU; attribute it to @p r. */
+    sim::Task<void> spend_cpu(OpResult& r);
+
     IndexFs& fs_;
     sim::Simulation& sim_;
     int id_;
     sim::SimTime cpu_service_;
     sim::Semaphore cpu_;
     lsm::LsmTree lsm_;
-    RowRegistry rows_;
-    SessionRegistry sessions_;
 };
 
 class IndexFsClient : public workload::DfsClient {
@@ -108,7 +116,7 @@ class IndexFs : public workload::Dfs {
     }
     size_t client_count() const override { return clients_.size(); }
     workload::SystemMetrics& metrics() override { return metrics_; }
-    ns::NamespaceTree& authoritative_tree() override { return mirror_; }
+    ns::NamespaceTree& authoritative_tree() override { return tree_; }
     int active_name_nodes() const override { return config_.num_servers; }
     double cost_so_far() const override;
 
@@ -120,10 +128,7 @@ class IndexFs : public workload::Dfs {
     IndexFsServer& server(int index) { return *servers_.at(index); }
     int server_count() const { return static_cast<int>(servers_.size()); }
 
-    /**
-     * Untimed preload of an existing namespace into servers + mirror
-     * (workload setup).
-     */
+    /** Untimed preload of an existing path (workload setup). */
     void preload(const std::string& p, ns::INodeType type);
 
   private:
@@ -131,7 +136,7 @@ class IndexFs : public workload::Dfs {
     IndexFsConfig config_;
     sim::Rng rng_;
     net::Network network_;
-    ns::NamespaceTree mirror_;
+    ns::NamespaceTree tree_;
     ConsistentHashRing ring_;
     std::vector<std::unique_ptr<IndexFsServer>> servers_;
     std::vector<std::unique_ptr<IndexFsClient>> clients_;

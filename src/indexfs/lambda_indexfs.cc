@@ -1,7 +1,10 @@
 #include "src/indexfs/lambda_indexfs.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "src/indexfs/lsm_timing.h"
+#include "src/namespace/apply.h"
 #include "src/util/hash.h"
 #include "src/util/path.h"
 
@@ -33,23 +36,6 @@ co_tcp_round(net::Network& network, faas::FunctionInstance* instance,
                           (t1 - t0) + (sim.now() - t2));
     }
     co_return result;
-}
-
-sim::Task<void>
-preload_put(lsm::LsmTree& tree, std::string key, ns::INode inode)
-{
-    Status st = co_await tree.put(std::move(key), std::move(inode));
-    (void)st;
-}
-
-ns::INode
-synth_inode(const std::string& p, ns::INodeType type)
-{
-    ns::INode inode;
-    inode.name = path::basename(p);
-    inode.type = type;
-    inode.id = static_cast<ns::INodeId>(mix64(fnv1a(p)) >> 1) + 2;
-    return inode;
 }
 
 }  // namespace
@@ -93,20 +79,12 @@ LambdaIndexNode::deliver_invalidation(std::string p, bool subtree)
 }
 
 sim::Task<void>
-LambdaIndexNode::write_coherence(Op op)
+LambdaIndexNode::write_coherence(const std::string& path)
 {
-    cache_.invalidate(op.path);
-    std::vector<coord::Coordinator::InvTarget> targets;
-    targets.push_back(coord::Coordinator::InvTarget{
-        fs_.deployment_for(op.path), op.path, false});
-    // A hard link overwrites an existing destination row: its cached
-    // copy (keyed at the dst deployment) must flush in the same round.
-    if (has_dst_path(op.type) && fs_.lsm_for(op.dst).contains(op.dst)) {
-        cache_.invalidate(op.dst);
-        targets.push_back(coord::Coordinator::InvTarget{
-            fs_.deployment_for(op.dst), op.dst, false});
-    }
-    co_await fs_.coordinator().invalidate(std::move(targets), this);
+    cache_.invalidate(path);
+    const coord::Coordinator::InvTarget target{fs_.deployment_for(path),
+                                               path, false};
+    co_await fs_.coordinator().invalidate({&target, 1}, this);
 }
 
 sim::Task<OpResult>
@@ -117,293 +95,100 @@ LambdaIndexNode::handle(faas::Invocation inv)
                                           &instance_);
     }
     const Op& op = inv.op;
-    const bool home =
-        fs_.deployment_for(op.path) == instance_.deployment_id();
-
+    ns::NamespaceTree& tree = fs_.authoritative_tree();
     sim::Simulation& sim = fs_.simulation();
     const bool attr = sim.attribution();
+    const sim::SimTime fn_cpu =
+        is_read_op(op.type) ? fs_.config().fn_read_cpu
+                            : fs_.config().fn_write_cpu;
+    sim::SimTime cpu_start = sim.now();
+    co_await instance_.compute(fn_cpu);
+    sim::SimTime cpu_wait = sim.now() - cpu_start;
+
+    if (op.type == OpType::kStatFs || op.type == OpType::kGcPrune) {
+        // One sweep per LSM partition, then apply once; the aggregate is
+        // never cached.
+        for (int i = 0; i < fs_.lsm_count(); ++i) {
+            co_await instance_.compute(fn_cpu);
+        }
+        OpResult result = ns::apply(tree, op, sim.now());
+        if (attr) {
+            result.ledger.add(sim::LatSeg::kNameNodeCpu,
+                              sim.now() - cpu_start);
+        }
+        co_return result;
+    }
+
     if (is_read_op(op.type)) {
-        sim::SimTime cpu_start = sim.now();
-        co_await instance_.compute(fs_.config().fn_read_cpu);
-        sim::SimTime cpu_wait = sim.now() - cpu_start;
-        if (op.type == OpType::kStatFs) {
-            // Sweep the per-partition counters (one pass per LSM
-            // instance); the aggregate is never cached.
-            OpResult result;
-            for (int i = 0; i < fs_.lsm_count(); ++i) {
-                co_await instance_.compute(fs_.config().fn_read_cpu);
-            }
-            if (attr) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                                  sim.now() - cpu_start);
-            }
-            result.stats.files = fs_.rows().files();
-            result.stats.dirs = fs_.rows().dirs();
-            result.stats.symlinks = fs_.rows().symlinks();
-            result.stats.inodes =
-                fs_.rows().rows() + fs_.sessions().orphans();
-            result.stats.open_sessions = fs_.sessions().open_sessions();
-            result.stats.orphans = fs_.sessions().orphans();
-            result.stats.metadata_bytes = fs_.rows().metadata_bytes();
-            if (const ns::INode* root =
-                    fs_.authoritative_tree().get(ns::kRootId)) {
-                result.inode = *root;
-            }
-            result.inodes_touched = result.stats.inodes;
-            result.status = Status::make_ok();
-            co_return result;
-        }
+        const bool home =
+            fs_.deployment_for(op.path) == instance_.deployment_id();
         if (home) {
-            auto cached = cache_.get(op.path);
-            // A cached symlink row serves lstat, not open-for-read
-            // (which must chase the target).
-            if (cached.has_value() && cached->is_symlink() &&
-                op.type == OpType::kReadFile) {
-                cached.reset();
-            }
-            if (cached.has_value()) {
-                OpResult result;
-                if (attr) {
-                    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+            if (auto cached = cache_.get(op.path)) {
+                if (auto hit = ns::apply_cached(tree, op, *cached)) {
+                    if (attr) {
+                        hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
+                    }
+                    co_return std::move(*hit);
                 }
-                result.status = Status::make_ok();
-                result.inode = *cached;
-                result.cache_hit = true;
-                co_return result;
             }
         }
+        // An INV landing while the row is fetched wins over the install.
+        const cache::MetadataCache::ReadToken token =
+            home ? cache_.begin_read() : 0;
         sim::SimTime lsm_start = sim.now();
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        // Open-for-read chases symlink rows across partitions, bounded
-        // like tree resolution (ELOOP past the follow limit).
-        int hops = 0;
-        bool via_symlink = false;
-        while (got.ok() && op.type == OpType::kReadFile &&
-               got->is_symlink()) {
-            if (++hops > ns::kMaxSymlinkFollows) {
-                OpResult result;
-                if (attr) {
-                    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-                    result.ledger.add(sim::LatSeg::kStoreService,
-                                      sim.now() - lsm_start);
+        OpResult result =
+            co_await apply_and_charge(sim, tree, op, fs_.lsm_for(op.path));
+        // Open-for-read fetches each symlink hop's row from its own
+        // partition.
+        if (op.type == OpType::kReadFile && result.status.ok() &&
+            result.via_symlink) {
+            std::string p = op.path;
+            for (int hops = 0; hops < ns::kMaxSymlinkFollows; ++hops) {
+                std::string next = symlink_hop(tree, p);
+                if (next.empty()) {
+                    break;
                 }
-                result.status = Status::failed_precondition(
-                    "symlink loop (ELOOP): " + op.path);
-                co_return result;
+                (void)co_await fs_.lsm_for(next).get(next);
+                p = std::move(next);
             }
-            std::string next = got->symlink_target;
-            via_symlink = true;
-            got = co_await fs_.lsm_for(next).get(next);
         }
-        OpResult result;
         if (attr) {
             result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             result.ledger.add(sim::LatSeg::kStoreService,
                               sim.now() - lsm_start);
         }
-        if (!got.ok()) {
-            result.status = got.status();
-            co_return result;
-        }
-        result.status = Status::make_ok();
-        result.inode = got.take();
-        result.via_symlink = via_symlink;
-        if (home && !via_symlink) {
+        if (home) {
             // A symlink-followed target lives under its canonical path
             // (likely another partition); never cache it under the alias.
-            cache_.put(op.path, result.inode);
+            if (result.status.ok() && !result.via_symlink) {
+                cache_.put_guarded(op.path, result.inode, token);
+            }
+            cache_.end_read(token);
         }
         co_return result;
     }
 
-    sim::SimTime cpu_start = sim.now();
-    co_await instance_.compute(fs_.config().fn_write_cpu);
-    sim::SimTime cpu_wait = sim.now() - cpu_start;
-    // Coherence: in the flat metadata-table keyspace, creating a
-    // never-before-seen key cannot invalidate cached state (there is no
-    // negative caching), so only deletes/overwrites pay the INV round.
-    // Session ops and GC touch the registry, not rows: no INV either.
-    const bool row_mutating =
-        op.type == OpType::kCreateFile || op.type == OpType::kMkdir ||
-        op.type == OpType::kDeleteFile || op.type == OpType::kSymlink ||
-        op.type == OpType::kHardLink || op.type == OpType::kSetAttr;
+    // Coherence: only a row that existed before the op can be cached
+    // (there is no negative caching), so only the ops that rewrite or
+    // unlink one — delete, setattr, a link's source — pay the INV round.
     sim::SimTime inv_start = sim.now();
-    if (row_mutating && (op.type == OpType::kDeleteFile ||
-                         fs_.lsm_for(op.path).contains(op.path))) {
-        co_await write_coherence(op);
+    const RowCalls calls = row_calls(op.type);
+    ns::IdChain existing;
+    if ((calls == RowCalls::kDel || calls == RowCalls::kGetPut ||
+         calls == RowCalls::kLink) &&
+        tree.resolve_ids(op.path, ns::UserContext{}, ns::Follow::kNoFinal,
+                         &existing)
+            .ok()) {
+        co_await write_coherence(op.path);
     }
     sim::SimTime lsm_start = sim.now();
-    OpResult result;
+    OpResult result = co_await apply_and_charge(
+        sim, tree, op, fs_.lsm_for(op.path),
+        has_dst_path(op.type) ? &fs_.lsm_for(op.dst) : nullptr);
     if (attr) {
         result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
         result.ledger.add(sim::LatSeg::kCoherence, lsm_start - inv_start);
-    }
-    sim::SimTime now_version = fs_.simulation().now();
-    switch (op.type) {
-      case OpType::kCreateFile:
-      case OpType::kMkdir: {
-        ns::INode inode = synth_inode(
-            op.path, op.type == OpType::kMkdir ? ns::INodeType::kDirectory
-                                               : ns::INodeType::kFile);
-        inode.mtime = fs_.simulation().now();
-        result.status =
-            co_await fs_.lsm_for(op.path).put(op.path, inode);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kDeleteFile: {
-        if (fs_.sessions().open_count(op.path) > 0) {
-            // Unlink the name; sessions still hold the inode, so stash
-            // it as an orphan until the last close (or GC).
-            auto got = co_await fs_.lsm_for(op.path).get(op.path);
-            if (!got.ok()) {
-                result.status = got.status();
-                break;
-            }
-            ns::INode held = got.take();
-            result.status = co_await fs_.lsm_for(op.path).del(op.path);
-            if (result.status.ok()) {
-                fs_.rows().note_del(op.path);
-                fs_.sessions().orphan(op.path, held);
-            }
-            break;
-        }
-        result.status = co_await fs_.lsm_for(op.path).del(op.path);
-        if (result.status.ok()) {
-            fs_.rows().note_del(op.path);
-        }
-        break;
-      }
-      case OpType::kSymlink: {
-        if (!path::is_valid(op.dst)) {
-            result.status = Status::invalid_argument(
-                "bad symlink target: " + op.dst);
-            break;
-        }
-        ns::INode inode = synth_inode(op.path, ns::INodeType::kSymlink);
-        inode.perms.mode = 0777;
-        inode.mtime = now_version;
-        inode.ctime = now_version;
-        inode.symlink_target = path::normalize(op.dst);
-        result.status =
-            co_await fs_.lsm_for(op.path).put(op.path, inode);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kHardLink: {
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            break;
-        }
-        ns::INode src = got.take();
-        if (!src.is_file()) {
-            result.status = Status::failed_precondition(
-                "hard link target is not a file: " + op.path);
-            break;
-        }
-        src.nlink += 1;
-        src.ctime = now_version;
-        ++src.version;
-        ns::INode linked = src;
-        linked.name = path::basename(op.dst);
-        result.status = co_await fs_.lsm_for(op.path).put(op.path, src);
-        if (!result.status.ok()) {
-            break;
-        }
-        fs_.rows().note_put(op.path, src);
-        result.status = co_await fs_.lsm_for(op.dst).put(op.dst, linked);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.dst, linked);
-        }
-        result.inode = linked;
-        break;
-      }
-      case OpType::kSetAttr: {
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            break;
-        }
-        ns::INode inode = got.take();
-        if (!op.user.is_superuser() && op.user.uid != inode.perms.owner) {
-            result.status = Status::permission_denied(
-                "not the owner of " + op.path);
-            break;
-        }
-        if ((op.attr.mask & (AttrUpdate::kOwner | AttrUpdate::kGroup)) !=
-                0 &&
-            !op.user.is_superuser()) {
-            result.status =
-                Status::permission_denied("only the superuser may chown");
-            break;
-        }
-        apply_attr_update(inode, op.attr, now_version);
-        result.status =
-            co_await fs_.lsm_for(op.path).put(op.path, inode);
-        if (result.status.ok()) {
-            fs_.rows().note_put(op.path, inode);
-        }
-        result.inode = inode;
-        break;
-      }
-      case OpType::kOpenSession: {
-        auto got = co_await fs_.lsm_for(op.path).get(op.path);
-        if (!got.ok()) {
-            result.status = got.status();
-            break;
-        }
-        ns::INode inode = got.take();
-        if (!inode.is_file()) {
-            result.status = Status::failed_precondition(
-                "not a file: " + op.path);
-            break;
-        }
-        if (!ns::check_access(inode, op.user, ns::Access::kRead)) {
-            result.status =
-                Status::permission_denied("no read on " + op.path);
-            break;
-        }
-        fs_.sessions().open(op.session_id, op.path,
-                            now_version + op.lease_ttl);
-        result.status = Status::make_ok();
-        result.inode = inode;
-        break;
-      }
-      case OpType::kCloseSession: {
-        result.inodes_touched = fs_.sessions().close(op.session_id);
-        result.status = Status::make_ok();
-        break;
-      }
-      case OpType::kGcPrune: {
-        // One sweep per partition, like the statfs collection.
-        for (int i = 0; i < fs_.lsm_count(); ++i) {
-            co_await instance_.compute(fs_.config().fn_write_cpu);
-        }
-        auto [expired, reclaimed] = fs_.sessions().gc(now_version);
-        (void)expired;
-        result.inodes_touched = reclaimed;
-        result.stats.open_sessions = fs_.sessions().open_sessions();
-        result.stats.orphans = fs_.sessions().orphans();
-        result.status = Status::make_ok();
-        break;
-      }
-      default:
-        result.status =
-            Status::invalid_argument("unsupported lambda-indexfs op");
-        break;
-    }
-    if (attr) {
         result.ledger.add(sim::LatSeg::kStoreService, sim.now() - lsm_start);
-    }
-    if (result.status.ok()) {
-        apply_to_mirror(fs_.authoritative_tree(), op, sim.now());
     }
     co_return result;
 }
@@ -423,6 +208,12 @@ LambdaIndexClient::execute(Op op)
     op_span.annotate("path", op.path);
     op_span.annotate("client", static_cast<int64_t>(id_));
     op.trace = op_span.context();
+    if (row_calls(op.type) == RowCalls::kUnsupported) {
+        OpResult result;
+        result.status =
+            Status::invalid_argument("unsupported lambda-indexfs op");
+        co_return result;
+    }
     int target = fs_.deployment_for(op.path);
     sim::Simulation& sim = fs_.simulation();
     const bool attr = sim.attribution();
@@ -539,10 +330,7 @@ LambdaIndexFs::lsm_for(const std::string& p)
 void
 LambdaIndexFs::preload(const std::string& p, ns::INodeType type)
 {
-    preload_mirror(mirror_, p, type);
-    ns::INode inode = synth_inode(p, type);
-    rows_.note_put(p, inode);
-    sim::spawn(preload_put(lsm_for(p), p, std::move(inode)));
+    preload_row(tree_, lsm_for(p), p, type);
 }
 
 int

@@ -6,6 +6,9 @@
  * same hybrid TCP/HTTP RPC mechanism and randomized HTTP-TCP
  * replacement, and invalidate through the Coordinator — while LevelDB
  * instances (one per original client VM) remain the persistent store.
+ * As in IndexFS, one NamespaceTree holds the namespace, every op applies
+ * through ns::apply (a function-cache hit through ns::apply_cached), and
+ * the LSM instances are the timing backend (lsm_timing.h).
  */
 #pragma once
 
@@ -70,7 +73,8 @@ class LambdaIndexNode : public faas::FunctionApp, public coord::CacheMember {
                                          bool subtree) override;
 
   private:
-    sim::Task<void> write_coherence(Op op);
+    /** The INV round for @p path's cached row, led by this instance. */
+    sim::Task<void> write_coherence(const std::string& path);
 
     LambdaIndexFs& fs_;
     faas::FunctionInstance& instance_;
@@ -107,7 +111,7 @@ class LambdaIndexFs : public workload::Dfs {
     }
     size_t client_count() const override { return clients_.size(); }
     workload::SystemMetrics& metrics() override { return metrics_; }
-    ns::NamespaceTree& authoritative_tree() override { return mirror_; }
+    ns::NamespaceTree& authoritative_tree() override { return tree_; }
     int active_name_nodes() const override;
     double cost_so_far() const override;
 
@@ -128,15 +132,6 @@ class LambdaIndexFs : public workload::Dfs {
     /** Untimed preload of an existing path (workload setup). */
     void preload(const std::string& p, ns::INodeType type);
 
-    /**
-     * Row-type bookkeeping for statfs counters. Central (not per
-     * function instance): instances are ephemeral, the keyspace is not.
-     */
-    RowRegistry& rows() { return rows_; }
-
-    /** File-session lease registry (survives instance churn). */
-    SessionRegistry& sessions() { return sessions_; }
-
     int lsm_count() const { return static_cast<int>(lsm_instances_.size()); }
 
   private:
@@ -150,9 +145,7 @@ class LambdaIndexFs : public workload::Dfs {
     ConsistentHashRing deployment_ring_;
     ConsistentHashRing lsm_ring_;
     std::vector<std::unique_ptr<lsm::LsmTree>> lsm_instances_;
-    ns::NamespaceTree mirror_;
-    RowRegistry rows_;
-    SessionRegistry sessions_;
+    ns::NamespaceTree tree_;
     std::vector<std::unique_ptr<LambdaIndexClient>> clients_;
     workload::SystemMetrics metrics_;
 };

@@ -1,10 +1,11 @@
 /**
  * @file
  * The one op applier: the only code that maps an OpType onto
- * NamespaceTree calls. Every tree-backed system (λFS, HopsFS,
- * HopsFS+Cache and InfiniCache through the metadata store; HDFS; CephFS)
- * applies ops here, so the systems differ in timing, locking and caching
- * and never in what an op does (DESIGN.md §12).
+ * NamespaceTree calls. Every system applies ops here — λFS, HopsFS,
+ * HopsFS+Cache and InfiniCache through the metadata store, CephFS, and
+ * IndexFS and λIndexFS over their LSM timing backend — so the systems
+ * differ in timing, locking and caching and never in what an op does
+ * (DESIGN.md §12).
  */
 #pragma once
 
@@ -28,8 +29,8 @@ namespace lfs::ns {
 OpResult apply(NamespaceTree& tree, const Op& op, sim::SimTime now);
 
 /**
- * Answer a read-type @p op from a metadata cache entry @p cached, or
- * nullopt when the entry cannot serve it: a cached symlink satisfies
+ * Answer a read-type @p op from a metadata cache entry or IndexFS client
+ * lease @p cached, or nullopt when the entry cannot serve it: a cached symlink satisfies
  * lstat, but follow-ops (read, ls) need the target under its own
  * canonical path. Opening a non-file fails FAILED_PRECONDITION, and
  * opening without read permission on the cached inode PERMISSION_DENIED,

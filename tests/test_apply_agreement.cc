@@ -3,15 +3,23 @@
  * Cross-system agreement of the one op applier (ns::apply): one seeded
  * stream over the full op alphabet, issued as the superuser and as two
  * unprivileged principals, must produce the same outcome on every
- * cacheless tree-backed system. The metadata store (driven through its
- * timed read_op/write_op/subtree_op with no cache in front) and HDFS must
- * agree on every result field an op reports; CephFS must agree on every
- * mutation (its reads may be served from a client capability, which by
- * design skips the permission check). All three must end with the same,
- * lifecycle-clean tree.
+ * tree-backed system. The metadata store is driven through its timed
+ * read_op/write_op/subtree_op with no cache in front.
  *
- * Lease TTLs outlast the run, so GC outcomes depend on namespace state
- * only, never on each system's timing.
+ *  - CephFS must agree with the store on every mutation (its reads may
+ *    be served from a client capability, which by design skips the
+ *    permission check).
+ *  - IndexFS and λIndexFS run the stream filtered to the ops they serve
+ *    and must agree with the store, on the same filtered stream, on every
+ *    result field of every op their namespace answers. An answer from
+ *    IndexFS' client lease or λIndexFS' function cache is counted, not
+ *    compared: a lease is stale for up to its TTL by design, and a warm
+ *    hit re-checks neither ancestor permissions (ROADMAP item 1) nor the
+ *    attributes a child's create or delete changes on its directory.
+ *
+ * Every system must end with the store's lifecycle-clean tree. Lease
+ * TTLs outlast the run, so GC outcomes depend on namespace state only,
+ * never on each system's timing.
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +29,8 @@
 #include <vector>
 
 #include "src/cephfs/cephfs.h"
-#include "src/hdfs/hdfs.h"
+#include "src/indexfs/indexfs.h"
+#include "src/indexfs/lambda_indexfs.h"
 #include "src/net/network.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
@@ -265,15 +274,6 @@ TEST_P(ApplyAgreement, CachelessSystemsAgreeOpForOp)
     sim::spawn(co_drive_store(store, ops, from_store));
     store_sim.run();
 
-    sim::Simulation hdfs_sim;
-    hdfs::HdfsConfig hdfs_config;
-    hdfs_config.num_client_vms = 1;
-    hdfs_config.clients_per_vm = kPrincipals;
-    hdfs::Hdfs hdfs_fs(hdfs_sim, hdfs_config);
-    std::vector<OpResult> from_hdfs;
-    sim::spawn(co_drive_dfs(hdfs_fs, ops, from_hdfs));
-    hdfs_sim.run();
-
     sim::Simulation ceph_sim;
     cephfs::CephFsConfig ceph_config;
     ceph_config.num_client_vms = 1;
@@ -284,25 +284,16 @@ TEST_P(ApplyAgreement, CachelessSystemsAgreeOpForOp)
     ceph_sim.run();
 
     ASSERT_EQ(from_store.size(), ops.size());
-    ASSERT_EQ(from_hdfs.size(), ops.size());
     ASSERT_EQ(from_ceph.size(), ops.size());
     int failed = 0;
     for (size_t i = 0; i < ops.size(); ++i) {
         const OpResult& s = from_store[i];
-        const OpResult& h = from_hdfs[i];
-        const std::string what = describe(ops[i], i);
         failed += s.status.ok() ? 0 : 1;
-        EXPECT_EQ(s.status.code(), h.status.code()) << what;
-        EXPECT_EQ(s.inode.id, h.inode.id) << what;
-        EXPECT_EQ(s.inode.version, h.inode.version) << what;
-        EXPECT_EQ(s.inodes_touched, h.inodes_touched) << what;
-        EXPECT_EQ(s.children, h.children) << what;
-        EXPECT_EQ(s.via_symlink, h.via_symlink) << what;
-        expect_same_stats(s.stats, h.stats, what);
         if (is_read_op(ops[i].type)) {
             continue;
         }
         const OpResult& c = from_ceph[i];
+        const std::string what = describe(ops[i], i);
         EXPECT_EQ(s.status.code(), c.status.code()) << what;
         EXPECT_EQ(s.inode.id, c.inode.id) << what;
         EXPECT_EQ(s.inodes_touched, c.inodes_touched) << what;
@@ -311,12 +302,127 @@ TEST_P(ApplyAgreement, CachelessSystemsAgreeOpForOp)
     EXPECT_GT(failed, static_cast<int>(ops.size()) / 10);
     EXPECT_LT(failed, static_cast<int>(ops.size()) * 9 / 10);
 
-    const std::string want = dump_tree(store.tree());
-    EXPECT_EQ(dump_tree(hdfs_fs.authoritative_tree()), want);
-    EXPECT_EQ(dump_tree(ceph_fs.authoritative_tree()), want);
+    EXPECT_EQ(dump_tree(ceph_fs.authoritative_tree()), dump_tree(store.tree()));
     expect_lifecycle_clean(store.tree(), "store");
-    expect_lifecycle_clean(hdfs_fs.authoritative_tree(), "hdfs");
     expect_lifecycle_clean(ceph_fs.authoritative_tree(), "cephfs");
+}
+
+/**
+ * build_stream() filtered to the ops the IndexFS family serves (its
+ * metadata table's point ops: no mv, subtree op or ls). Each stat and
+ * read is issued twice more, by the same principal (a lease or cache hit)
+ * and by the next one (a warm hit answered to another user).
+ */
+std::vector<Op>
+indexfs_stream(uint64_t seed, int steps)
+{
+    std::vector<Op> ops;
+    for (Op& op : build_stream(seed, steps)) {
+        switch (op.type) {
+          case OpType::kMv:
+          case OpType::kSubtreeDelete:
+          case OpType::kSubtreeMv:
+          case OpType::kLs:
+            continue;
+          default:
+            break;
+        }
+        ops.push_back(std::move(op));
+        if (ops.back().type == OpType::kStat ||
+            ops.back().type == OpType::kReadFile) {
+            ops.push_back(ops.back());
+            ops.push_back(ops.back());
+            ops.back().user =
+                principal((ops.back().user.uid == 0 ? 1
+                           : ops.back().user.uid == 1000 ? 2
+                                                         : 0));
+        }
+    }
+    return ops;
+}
+
+/**
+ * Compare @p got (one IndexFS-family system's results) with the store's
+ * @p want, op for op, on every result field of every answer the
+ * namespace gave. @return the number of answers that came from a lease
+ * or function cache instead.
+ */
+int
+expect_agreement(const std::vector<Op>& ops,
+                 const std::vector<OpResult>& want,
+                 const std::vector<OpResult>& got, const char* system)
+{
+    EXPECT_EQ(got.size(), ops.size()) << system;
+    int hits = 0;
+    for (size_t i = 0; i < ops.size() && i < got.size(); ++i) {
+        const OpResult& s = want[i];
+        const OpResult& x = got[i];
+        if (x.cache_hit) {
+            ++hits;
+            continue;
+        }
+        const std::string what =
+            std::string(system) + " " + describe(ops[i], i);
+        EXPECT_EQ(s.status.code(), x.status.code()) << what;
+        EXPECT_EQ(s.inode.id, x.inode.id) << what;
+        EXPECT_EQ(s.inode.version, x.inode.version) << what;
+        EXPECT_EQ(s.inodes_touched, x.inodes_touched) << what;
+        EXPECT_EQ(s.via_symlink, x.via_symlink) << what;
+        expect_same_stats(s.stats, x.stats, what);
+    }
+    return hits;
+}
+
+TEST_P(ApplyAgreement, IndexFsFamilyAgreesWithTheStore)
+{
+    const std::vector<Op> ops = indexfs_stream(GetParam(), 400);
+
+    sim::Simulation store_sim;
+    net::Network network(store_sim, sim::Rng(1));
+    store::MetadataStore store(store_sim, network, sim::Rng(2));
+    std::vector<OpResult> from_store;
+    sim::spawn(co_drive_store(store, ops, from_store));
+    store_sim.run();
+    ASSERT_EQ(from_store.size(), ops.size());
+
+    sim::Simulation index_sim;
+    indexfs::IndexFsConfig index_config;
+    index_config.num_client_vms = 1;
+    index_config.clients_per_vm = kPrincipals;
+    indexfs::IndexFs index_fs(index_sim, index_config);
+    std::vector<OpResult> from_index;
+    sim::spawn(co_drive_dfs(index_fs, ops, from_index));
+    index_sim.run();
+
+    sim::Simulation lambda_sim;
+    indexfs::LambdaIndexFsConfig lambda_config;
+    lambda_config.num_client_vms = 1;
+    lambda_config.clients_per_vm = kPrincipals;
+    indexfs::LambdaIndexFs lambda_fs(lambda_sim, lambda_config);
+    std::vector<OpResult> from_lambda;
+    sim::spawn(co_drive_dfs(lambda_fs, ops, from_lambda));
+    lambda_sim.run();
+
+    int failed = 0;
+    for (const OpResult& s : from_store) {
+        failed += s.status.ok() ? 0 : 1;
+    }
+    EXPECT_GT(failed, static_cast<int>(ops.size()) / 10);
+    EXPECT_LT(failed, static_cast<int>(ops.size()) * 9 / 10);
+    const int lease_hits =
+        expect_agreement(ops, from_store, from_index, "indexfs");
+    const int cache_hits =
+        expect_agreement(ops, from_store, from_lambda, "lambda-indexfs");
+    // Both warm paths run; most answers still come from the namespace.
+    EXPECT_GT(lease_hits, 0);
+    EXPECT_GT(cache_hits, 0);
+    EXPECT_LT(lease_hits + cache_hits, static_cast<int>(ops.size()));
+
+    const std::string want = dump_tree(store.tree());
+    EXPECT_EQ(dump_tree(index_fs.authoritative_tree()), want);
+    EXPECT_EQ(dump_tree(lambda_fs.authoritative_tree()), want);
+    expect_lifecycle_clean(index_fs.authoritative_tree(), "indexfs");
+    expect_lifecycle_clean(lambda_fs.authoritative_tree(), "lambda-indexfs");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ApplyAgreement,

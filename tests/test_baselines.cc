@@ -305,5 +305,84 @@ TEST(LambdaIndexFs, WriteInvalidatesFunctionCache)
               Code::kNotFound);
 }
 
+// ---------------------------------------------------------------------
+// Both IndexFS variants: the namespace decides every op
+// ---------------------------------------------------------------------
+
+Op
+make_op_as(OpType type, std::string p, ns::UserContext user)
+{
+    Op op = make_op(type, std::move(p));
+    op.user = user;
+    return op;
+}
+
+/**
+ * Outcomes a flat path keyspace cannot decide, because they depend on
+ * the names, parents, owners and modes the namespace holds: a duplicate
+ * create, a create under a missing directory, the creator's own chmod,
+ * and another user's open of a 0600 file.
+ */
+void
+expect_namespace_semantics(Simulation& sim, workload::Dfs& fs)
+{
+    const ns::UserContext root;
+    const ns::UserContext owner{1000, 1000};
+    const ns::UserContext other{2000, 2000};
+    ASSERT_TRUE(
+        run_one(sim, fs, 0, make_op_as(OpType::kMkdir, "/home", root))
+            .status.ok());
+    Op open_dir = make_op_as(OpType::kSetAttr, "/home", root);
+    open_dir.attr.mask = AttrUpdate::kMode;
+    open_dir.attr.mode = 0777;
+    ASSERT_TRUE(run_one(sim, fs, 0, open_dir).status.ok());
+
+    OpResult created = run_one(
+        sim, fs, 0, make_op_as(OpType::kCreateFile, "/home/f", owner));
+    ASSERT_TRUE(created.status.ok()) << fs.name();
+    EXPECT_EQ(created.inode.perms.owner, owner.uid) << fs.name();
+    EXPECT_EQ(run_one(sim, fs, 1,
+                      make_op_as(OpType::kCreateFile, "/home/f", owner))
+                  .status.code(),
+              Code::kAlreadyExists)
+        << fs.name();
+    EXPECT_EQ(run_one(sim, fs, 0,
+                      make_op_as(OpType::kCreateFile, "/nodir/f", root))
+                  .status.code(),
+              Code::kNotFound)
+        << fs.name();
+
+    Op chmod = make_op_as(OpType::kSetAttr, "/home/f", owner);
+    chmod.attr.mask = AttrUpdate::kMode;
+    chmod.attr.mode = 0600;
+    EXPECT_EQ(run_one(sim, fs, 0, chmod).status.code(), Code::kOk)
+        << fs.name();
+    EXPECT_EQ(run_one(sim, fs, 1,
+                      make_op_as(OpType::kReadFile, "/home/f", other))
+                  .status.code(),
+              Code::kPermissionDenied)
+        << fs.name();
+    EXPECT_EQ(run_one(sim, fs, 1,
+                      make_op_as(OpType::kReadFile, "/home/f", owner))
+                  .status.code(),
+              Code::kOk)
+        << fs.name();
+}
+
+TEST(IndexFsFamily, NamespaceDecidesCreatesChmodAndOpen)
+{
+    {
+        Simulation sim;
+        indexfs::IndexFs fs(sim, small_indexfs());
+        expect_namespace_semantics(sim, fs);
+    }
+    {
+        Simulation sim;
+        indexfs::LambdaIndexFs fs(sim, small_lambda_indexfs());
+        sim.run_until(sim::sec(5));
+        expect_namespace_semantics(sim, fs);
+    }
+}
+
 }  // namespace
 }  // namespace lfs

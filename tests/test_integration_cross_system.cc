@@ -16,6 +16,8 @@
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
+#include "src/indexfs/indexfs.h"
+#include "src/indexfs/lambda_indexfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/microbench.h"
@@ -211,8 +213,8 @@ TEST(CrossSystem, OpenForReadChecksReadPermissionEverywhere)
 {
     // A 0600 file owned by uid 1000: another user may stat the path but
     // must not open the file for read — the store-backed systems (λFS,
-    // HopsFS) agree with CephFS. The first read runs on cold caches, so
-    // it reaches the authoritative check.
+    // HopsFS) agree with CephFS, IndexFS and λIndexFS. The first read runs
+    // on cold caches, so it reaches the authoritative check.
     const ns::UserContext owner{1000, 1000};
     const ns::UserContext other{2000, 2000};
     auto check = [&](workload::Dfs& dfs, Simulation& sim) {
@@ -263,6 +265,26 @@ TEST(CrossSystem, OpenForReadChecksReadPermissionEverywhere)
         cephfs::CephFs fs(sim, config);
         check(fs, sim);
     }
+    {
+        Simulation sim;
+        indexfs::IndexFsConfig config;
+        config.num_servers = 2;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        indexfs::IndexFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        indexfs::LambdaIndexFsConfig config;
+        config.num_deployments = 2;
+        config.total_vcpus = 16.0;
+        config.num_lsm_instances = 2;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        indexfs::LambdaIndexFs fs(sim, config);
+        check(fs, sim);
+    }
 }
 
 /** Open @p p for read as @p user and return the full result. */
@@ -284,9 +306,10 @@ TEST(CrossSystem, WarmCacheOpenChecksReadPermission)
 {
     // Regression: a cache hit answered open-for-read without the read
     // check. The owner opens its 0600 file twice, so the entry is cached
-    // by the one NameNode / function there is; another user's open of
-    // the same file is then answered from that warm cache and must still
-    // be denied, exactly as on a cold cache.
+    // by the one NameNode / function there is (or leased by the one
+    // IndexFS client); another user's open of the same file is then
+    // answered from that warm cache and must still be denied, exactly as
+    // on a cold cache.
     const ns::UserContext owner{1000, 1000};
     const ns::UserContext other{2000, 2000};
     auto check = [&](workload::Dfs& dfs, Simulation& sim) {
@@ -343,6 +366,29 @@ TEST(CrossSystem, WarmCacheOpenChecksReadPermission)
         config.num_client_vms = 1;
         config.clients_per_vm = 1;
         infinicache::InfiniCacheFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        indexfs::IndexFsConfig config;
+        config.num_servers = 2;
+        // Each open drains 30 s of simulated time: the lease must outlast
+        // the three of them.
+        config.lease_ttl = sim::sec(1000);
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        indexfs::IndexFs fs(sim, config);
+        check(fs, sim);
+    }
+    {
+        Simulation sim;
+        indexfs::LambdaIndexFsConfig config;
+        config.num_deployments = 1;
+        config.total_vcpus = 16.0;
+        config.num_lsm_instances = 2;
+        config.num_client_vms = 1;
+        config.clients_per_vm = 1;
+        indexfs::LambdaIndexFs fs(sim, config);
         check(fs, sim);
     }
 }
