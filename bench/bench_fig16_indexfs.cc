@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/harness.h"
@@ -33,11 +34,11 @@ run_one(const std::string& system, workload::TreeTestConfig tcfg)
                 fs.preload(dir, ns::INodeType::kDirectory);
             });
     }
-    indexfs::LambdaIndexFsConfig config;
+    core::LambdaFsConfig config = core::lambda_indexfs_config();
     config.clients_per_vm =
         std::max(1, (tcfg.num_clients + config.num_client_vms - 1) /
                         config.num_client_vms);
-    indexfs::LambdaIndexFs fs(sim, config);
+    core::LambdaFs fs(sim, config);
     return workload::run_tree_test(
         sim, fs, tcfg, [&fs](const std::string& dir) {
             fs.preload(dir, ns::INodeType::kDirectory);
@@ -45,11 +46,8 @@ run_one(const std::string& system, workload::TreeTestConfig tcfg)
 }
 
 void
-run_variant(bool fixed)
+run_variant(bool fixed, int64_t fixed_total, int64_t per_client)
 {
-    int64_t fixed_total = env_int("LFS_TT_FIXED_TOTAL", 100000);
-    int64_t per_client = env_int("LFS_TT_PER_CLIENT", 1000);
-
     std::printf("\n--- %s workload (%s) ---\n",
                 fixed ? "fixed-sized" : "variable-sized",
                 fixed ? "total op budget split across clients"
@@ -97,9 +95,14 @@ int
 main(int argc, char** argv)
 {
     lfs::bench::parse_args(argc, argv);
-    lfs::bench::print_banner("Figure 16",
-                             "lambda-indexfs vs indexfs (tree-test on BeeGFS)");
-    lfs::bench::run_variant(/*fixed=*/true);
-    lfs::bench::run_variant(/*fixed=*/false);
+    const int64_t fixed_total =
+        lfs::bench::env_int("LFS_TT_FIXED_TOTAL", 100000);
+    const int64_t per_client = lfs::bench::env_int("LFS_TT_PER_CLIENT", 1000);
+    lfs::bench::print_banner(
+        "Figure 16", "lambda-indexfs vs indexfs (tree-test on BeeGFS)",
+        "LFS_TT_FIXED_TOTAL=" + std::to_string(fixed_total) +
+            " LFS_TT_PER_CLIENT=" + std::to_string(per_client));
+    lfs::bench::run_variant(/*fixed=*/true, fixed_total, per_client);
+    lfs::bench::run_variant(/*fixed=*/false, fixed_total, per_client);
     return 0;
 }

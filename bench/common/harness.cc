@@ -806,13 +806,19 @@ print_degradation_summary(const IndustrialRun& run, bool always)
 }
 
 void
-print_banner(const char* experiment, const char* title)
+print_banner(const char* experiment, const char* title,
+             const std::string& scale_line)
 {
     std::printf("\n");
     std::printf("================================================================================\n");
     std::printf("%s — %s\n", experiment, title);
-    std::printf("  scale=%.3g ops/client=%d (see EXPERIMENTS.md for the scaling rules)\n",
-                scale(), ops_per_client());
+    if (!scale_line.empty()) {
+        std::printf("  %s (see EXPERIMENTS.md for the scaling rules)\n",
+                    scale_line.c_str());
+    } else {
+        std::printf("  scale=%.3g ops/client=%d (see EXPERIMENTS.md for the scaling rules)\n",
+                    scale(), ops_per_client());
+    }
     std::printf("================================================================================\n");
 }
 

@@ -24,7 +24,6 @@
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/indexfs/lambda_indexfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/dfs_interface.h"
@@ -285,7 +284,12 @@ IndustrialRun run_industrial(sim::Simulation& sim, workload::Dfs& dfs,
 // Output formatting
 // ----------------------------------------------------------------------
 
-void print_banner(const char* experiment, const char* title);
+/**
+ * Banner for one experiment. Its second line states the run's scale:
+ * @p scale_line when given, else LFS_BENCH_SCALE and LFS_OPS_PER_CLIENT.
+ */
+void print_banner(const char* experiment, const char* title,
+                  const std::string& scale_line = "");
 
 /**
  * Graceful-degradation summary for one industrial run: offered vs

@@ -1,7 +1,8 @@
 /**
  * @file
  * λIndexFS demo (§4, §5.7): the λFS serverless caching layer ported in
- * front of IndexFS' LSM (LevelDB-model) stores, driven by a miniature
+ * front of IndexFS' LSM (LevelDB-model) stores — a core::LambdaFs built
+ * from core::lambda_indexfs_config() — driven by a miniature
  * tree-test: a write phase of mknods followed by a read phase of random
  * getattrs, with the LSM internals (flushes, compactions, bloom-filtered
  * reads) visible.
@@ -10,8 +11,8 @@
  */
 #include <cstdio>
 
+#include "src/core/lambda_fs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/indexfs/lambda_indexfs.h"
 #include "src/sim/simulation.h"
 #include "src/workload/tree_test.h"
 
@@ -63,9 +64,9 @@ main()
     }
     {
         sim::Simulation sim;
-        indexfs::LambdaIndexFsConfig config;
+        core::LambdaFsConfig config = core::lambda_indexfs_config();
         config.clients_per_vm = 8;
-        indexfs::LambdaIndexFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         workload::TreeTestResult r = workload::run_tree_test(
             sim, fs, tcfg, [&fs](const std::string& dir) {
                 fs.preload(dir, ns::INodeType::kDirectory);

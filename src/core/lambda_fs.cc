@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/indexfs/lsm_timing.h"
+
 namespace lfs::core {
 
 namespace {
@@ -37,20 +39,59 @@ apply_overload_control(LambdaFsConfig config)
     return config;
 }
 
+std::unique_ptr<store::Store>
+make_store(sim::Simulation& sim, net::Network& network, sim::Rng rng,
+           const LambdaFsConfig& config)
+{
+    if (config.lsm_store) {
+        return std::make_unique<indexfs::LsmStore>(
+            sim, rng, config.store.num_data_nodes, *config.lsm_store);
+    }
+    return std::make_unique<store::MetadataStore>(sim, network, rng,
+                                                  config.store);
+}
+
 }  // namespace
+
+LambdaFsConfig
+lambda_indexfs_config()
+{
+    LambdaFsConfig config;
+    config.num_deployments = 8;
+    config.total_vcpus = 64.0;
+    config.function.vcpus = 4.0;
+    config.function.memory_gb = 16.0;
+    config.name_node.read_cpu = sim::usec(180);
+    config.name_node.read_block_cpu = 0;
+    config.name_node.miss_extra_cpu = 0;
+    config.name_node.write_cpu = sim::usec(220);
+    config.name_node.cache_bytes = 256ull * 1024 * 1024;
+    config.name_node.report_interval = 0;
+    config.client.tcp_timeout_default = sim::sec(15);
+    config.client.http_timeout = sim::sec(15);
+    config.client.max_attempts = 6;
+    config.client.straggler_mitigation = false;
+    config.client.anti_thrashing = false;
+    config.lsm_store = lsm::LsmConfig{};
+    config.num_client_vms = 4;
+    config.clients_per_vm = 64;
+    config.max_clients_per_tcp_server = 32;
+    config.seed = 47;
+    return config;
+}
 
 LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
     : sim_(sim),
       config_(apply_overload_control(std::move(config))),
       rng_(config_.seed),
       network_(sim, rng_.fork(), config_.network),
-      store_(sim, network_, rng_.fork(), config_.store),
+      store_(make_store(sim, network_, rng_.fork(), config_)),
       coordinator_(sim, network_),
       partitioner_(config_.num_deployments),
       tcp_registry_(config_.num_client_vms, tcp_servers_per_vm(config_)),
       platform_(sim, network_, rng_.fork(),
                 faas::PlatformConfig{config_.total_vcpus, config_.function}),
-      metrics_(sim.metrics(), "lambda-fs")
+      metrics_(sim.metrics(), name())
 {
     result_caches_.reserve(static_cast<size_t>(config_.num_deployments));
     for (int d = 0; d < config_.num_deployments; ++d) {
@@ -58,7 +99,7 @@ LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
             sim_, config_.name_node.result_cache_entries));
     }
     runtime_ = std::make_unique<LfsRuntime>(
-        LfsRuntime{sim_, network_, store_, coordinator_, partitioner_,
+        LfsRuntime{sim_, network_, *store_, coordinator_, partitioner_,
                    tcp_registry_, result_caches_});
     if (config_.overload.enabled && config_.overload.retry_budget_ratio > 0) {
         retry_budgets_.reserve(static_cast<size_t>(config_.num_deployments));
@@ -176,9 +217,12 @@ LambdaFs::degradation() const
     for (int d = 0; d < platform_.deployment_count(); ++d) {
         stats.gateway_shed += platform_.deployment(d).shed_total();
     }
-    stats.store_shed = store_.shed_total();
-    stats.breaker_open_events = store_.breaker_opens();
-    stats.breaker_fast_failures = store_.breaker_fast_failures();
+    if (const auto* ndb =
+            dynamic_cast<const store::MetadataStore*>(store_.get())) {
+        stats.store_shed = ndb->shed_total();
+        stats.breaker_open_events = ndb->breaker_opens();
+        stats.breaker_fast_failures = ndb->breaker_fast_failures();
+    }
     for (const auto& budget : retry_budgets_) {
         stats.retries_denied += budget->retries_denied();
     }

@@ -3,11 +3,13 @@
  * λFS system assembly: wires the FaaS platform, persistent metadata
  * store, coordinator, namespace partitioner, TCP registry, serverless
  * NameNode deployments, and client VMs into one deployable system
- * implementing the workload::Dfs interface (Figure 2).
+ * implementing the workload::Dfs interface (Figure 2). Over IndexFS' LSM
+ * store instead of NDB, the same assembly is λIndexFS (§4, §5.7).
  */
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "src/core/tcp_registry.h"
 #include "src/cost/pricing.h"
 #include "src/faas/platform.h"
+#include "src/lsm/lsm_tree.h"
 #include "src/net/network.h"
 #include "src/store/metadata_store.h"
 #include "src/workload/dfs_interface.h"
@@ -71,6 +74,9 @@ struct LambdaFsConfig {
     NameNodeConfig name_node;
     ClientConfig client;
     store::StoreConfig store;
+    /** Set: run over IndexFS' LSM store of store.num_data_nodes LevelDBs
+        (λIndexFS) instead of NDB. */
+    std::optional<lsm::LsmConfig> lsm_store;
     net::NetworkConfig network;
     int num_client_vms = 8;
     int clients_per_vm = 128;
@@ -83,19 +89,29 @@ struct LambdaFsConfig {
     uint64_t seed = 42;
 };
 
+/**
+ * λIndexFS as §5.7 deploys it: 8 deployments of 4-vCPU / 16-GB functions
+ * on a 64-vCPU OpenWhisk cluster, over an LSM store of 4 LevelDBs (one
+ * per original IndexFS client VM), for 4 client VMs of 64 clients.
+ */
+LambdaFsConfig lambda_indexfs_config();
+
 class LambdaFs : public workload::Dfs {
   public:
     LambdaFs(sim::Simulation& sim, LambdaFsConfig config);
     ~LambdaFs() override;
 
     // workload::Dfs
-    std::string name() const override { return "lambda-fs"; }
+    std::string name() const override
+    {
+        return config_.lsm_store ? "lambda-indexfs" : "lambda-fs";
+    }
     workload::DfsClient& client(size_t index) override;
     size_t client_count() const override { return clients_.size(); }
     workload::SystemMetrics& metrics() override { return metrics_; }
     ns::NamespaceTree& authoritative_tree() override
     {
-        return store_.tree();
+        return store_->tree();
     }
     int active_name_nodes() const override;
     double cost_so_far() const override;
@@ -104,7 +120,7 @@ class LambdaFs : public workload::Dfs {
 
     // λFS specifics
     faas::Platform& platform() { return platform_; }
-    store::MetadataStore& store() { return store_; }
+    store::Store& store() { return *store_; }
     coord::Coordinator& coordinator() { return coordinator_; }
     TcpRegistry& tcp_registry() { return tcp_registry_; }
     const NamespacePartitioner& partitioner() const { return partitioner_; }
@@ -114,6 +130,12 @@ class LambdaFs : public workload::Dfs {
         return *result_caches_[static_cast<size_t>(deployment)];
     }
     const LambdaFsConfig& config() const { return config_; }
+
+    /** Untimed preload of an existing path (workload setup). */
+    void preload(const std::string& p, ns::INodeType type)
+    {
+        store_->preload(p, type);
+    }
 
     /** Kill one NameNode of deployment @p deployment (fault injection). */
     bool kill_name_node(int deployment);
@@ -126,7 +148,7 @@ class LambdaFs : public workload::Dfs {
     LambdaFsConfig config_;
     sim::Rng rng_;
     net::Network network_;
-    store::MetadataStore store_;
+    std::unique_ptr<store::Store> store_;
     coord::Coordinator coordinator_;
     NamespacePartitioner partitioner_;
     TcpRegistry tcp_registry_;

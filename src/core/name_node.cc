@@ -235,7 +235,7 @@ NameNode::handle_read(const Op& op)
         }
         cache_.end_read(token);
     }
-    if (result.status.ok() && home_partition) {
+    if (result.status.ok() && home_partition && config_.miss_extra_cpu > 0) {
         sim::SimTime miss_start = rt_.sim.now();
         co_await instance_.compute(config_.miss_extra_cpu);
         cpu_wait += rt_.sim.now() - miss_start;
@@ -350,7 +350,7 @@ NameNode::handle_subtree(const Op& op)
             static_cast<int>(rt_.coordinator.total_members()) - 1;
         helpers = std::clamp(candidates, 1, config_.max_offload_helpers);
     }
-    store::MetadataStore::SubtreeExecution exec;
+    store::SubtreeExecution exec;
     exec.after_lock = [this, &op]() { return run_subtree_coherence(op); };
     exec.per_row_nn_cost = config_.subtree_per_row_cpu / helpers;
     OpResult result = co_await rt_.store.subtree_op(op, exec);
@@ -385,6 +385,14 @@ NameNode::handle(faas::Invocation inv)
         shed.status = Status::deadline_exceeded("expired at namenode");
         co_return shed;
     }
+    // An op the store does not serve (λIndexFS' mv, subtree ops and ls)
+    // is refused before any work, so a warm cache cannot answer it.
+    OpResult result;
+    if (!rt_.store.serves(op.type)) {
+        result.status = Status::invalid_argument(
+            std::string("store does not serve ") + op_name(op.type));
+        co_return result;
+    }
     // Transparently-resubmitted requests are answered from the
     // deployment's retained-result table instead of being re-performed
     // (§3.2). The table is shared across the deployment's instances, so
@@ -397,7 +405,7 @@ NameNode::handle(faas::Invocation inv)
         nn_span.annotate("result_cache", "hit");
         sim::SimTime hit_start = rt_.sim.now();
         co_await instance_.compute(sim::usec(20));
-        OpResult result = *std::move(retained);
+        result = *std::move(retained);
         if (rt_.sim.attribution()) {
             // The retained ledger describes the *original* execution,
             // whose wall time overlaps the resubmitting client's
@@ -409,7 +417,6 @@ NameNode::handle(faas::Invocation inv)
         }
         co_return result;
     }
-    OpResult result;
     if (is_read_op(op.type)) {
         result = co_await handle_read(op);
         nn_span.annotate("cache_hit",

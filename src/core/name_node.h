@@ -29,7 +29,7 @@
 #include "src/net/network.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
-#include "src/store/metadata_store.h"
+#include "src/store/store.h"
 #include "src/util/overload.h"
 
 namespace lfs::core {
@@ -66,7 +66,7 @@ struct NameNodeConfig {
 struct LfsRuntime {
     sim::Simulation& sim;
     net::Network& network;
-    store::MetadataStore& store;
+    store::Store& store;
     coord::Coordinator& coordinator;
     NamespacePartitioner& partitioner;
     TcpRegistry& tcp_registry;

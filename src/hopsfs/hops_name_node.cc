@@ -164,7 +164,7 @@ HopsNameNode::serve_subtree(const Op& op)
     cpu_.release();
     sim::SimTime cpu_wait = sim_.now() - cpu_start;
 
-    store::MetadataStore::SubtreeExecution exec;
+    store::SubtreeExecution exec;
     exec.per_row_nn_cost = config_.subtree_per_row_cpu;
     if (cache_) {
         exec.after_lock = [this, &op]() { return subtree_inv_round(op); };

@@ -152,6 +152,14 @@ IndexFsClient::execute(Op op)
     }
     OpResult result = co_await exchange(fs_.network(),
                                         fs_.server_for(op.path).serve(op));
+    // A mutation ends this client's own leases on what it changed, so
+    // they cannot answer for the state it just replaced.
+    if (!is_read_op(op.type)) {
+        leases_.erase(op.path);
+        if (has_dst_path(op.type)) {
+            leases_.erase(op.dst);
+        }
+    }
     // Open-for-read chases symlink rows client-side (the client owns
     // routing in IndexFS): each hop re-routes to the target's server.
     if (op.type == OpType::kReadFile && result.status.ok() &&

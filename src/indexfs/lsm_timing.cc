@@ -24,6 +24,15 @@ put_row(lsm::LsmTree& lsm, std::string key, ns::INode inode)
     (void)st;
 }
 
+OpResult
+unserved(const Op& op)
+{
+    OpResult r;
+    r.status = Status::invalid_argument(std::string("not an IndexFS op: ") +
+                                        op_name(op.type));
+    return r;
+}
+
 }  // namespace
 
 RowCalls
@@ -108,18 +117,95 @@ void
 preload_row(ns::NamespaceTree& tree, lsm::LsmTree& lsm, const std::string& p,
             ns::INodeType type)
 {
-    Op op;  // the superuser's
-    op.type = OpType::kMkdir;
-    op.path = type == ns::INodeType::kDirectory ? p : path::parent(p);
-    OpResult r = ns::apply(tree, op, 0);
-    if (type != ns::INodeType::kDirectory) {
-        op.type = OpType::kCreateFile;
-        op.path = p;
-        r = ns::apply(tree, op, 0);
-    }
+    OpResult r = store::preload_path(tree, p, type);
     if (r.status.ok()) {
         sim::spawn(put_row(lsm, p, std::move(r.inode)));
     }
+}
+
+LsmStore::LsmStore(sim::Simulation& sim, sim::Rng rng, int instances,
+                   lsm::LsmConfig config)
+    : sim_(sim)
+{
+    for (int i = 0; i < instances; ++i) {
+        instances_.push_back(
+            std::make_unique<lsm::LsmTree>(sim_, rng.fork(), config));
+        ring_.add_member(i);
+    }
+}
+
+bool
+LsmStore::serves(OpType type) const
+{
+    return row_calls(type) != RowCalls::kUnsupported;
+}
+
+lsm::LsmTree&
+LsmStore::lsm_for(std::string_view p)
+{
+    return *instances_[static_cast<size_t>(
+        ring_.lookup_hash(mix64(path::parent_hash(p))))];
+}
+
+sim::Task<OpResult>
+LsmStore::transact(const Op& op, LockedHook after_lock)
+{
+    if (!serves(op.type)) {
+        co_return unserved(op);
+    }
+    ++(is_read_op(op.type) ? reads_ : writes_);
+    const bool attr = sim_.attribution();
+    sim::LatencyLedger led;
+    if (after_lock) {
+        const sim::SimTime coh_start = sim_.now();
+        co_await after_lock();
+        if (attr) {
+            led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
+        }
+    }
+    const sim::SimTime start = sim_.now();
+    OpResult result;
+    if (op.type == OpType::kStatFs || op.type == OpType::kGcPrune) {
+        // One aggregate-row get per instance, then apply once.
+        for (auto& lsm : instances_) {
+            (void)co_await lsm->get("");
+        }
+        result = ns::apply(tree_, op, sim_.now());
+    } else {
+        result = co_await apply_and_charge(
+            sim_, tree_, op, lsm_for(op.path),
+            has_dst_path(op.type) ? &lsm_for(op.dst) : nullptr);
+    }
+    // Open-for-read fetches each symlink hop's row from its own instance.
+    if (op.type == OpType::kReadFile && result.status.ok() &&
+        result.via_symlink) {
+        std::string p = op.path;
+        for (int hops = 0; hops < ns::kMaxSymlinkFollows; ++hops) {
+            std::string next = symlink_hop(tree_, p);
+            if (next.empty()) {
+                break;
+            }
+            (void)co_await lsm_for(next).get(next);
+            p = std::move(next);
+        }
+    }
+    if (attr) {
+        led.add(sim::LatSeg::kStoreService, sim_.now() - start);
+        result.ledger = led;
+    }
+    co_return result;
+}
+
+sim::Task<OpResult>
+LsmStore::subtree_op(Op op, store::SubtreeExecution)
+{
+    co_return unserved(op);
+}
+
+void
+LsmStore::preload(const std::string& p, ns::INodeType type)
+{
+    preload_row(tree_, lsm_for(p), p, type);
 }
 
 }  // namespace lfs::indexfs

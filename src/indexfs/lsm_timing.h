@@ -1,25 +1,31 @@
 /**
  * @file
- * The IndexFS family's timing backend. Both variants keep one
- * NamespaceTree as their only semantic state and apply every op through
- * ns::apply, like every other system. Their LSM instances (the LevelDB
- * model in src/lsm) only decide how long an op takes: charge_lsm() makes
- * the row calls a flat path-keyed metadata table makes for an op's
- * result, on the same keys and in the same order, so LSM write batching,
- * flushes and bloom-filtered reads shape the timing. The row values carry
- * the tree's inode under the row's own name, so memtable sizes (and with
- * them flush timing) depend on the name and symlink target only.
+ * The IndexFS family's timing backend. IndexFS' servers and λIndexFS'
+ * LsmStore keep one NamespaceTree as their only semantic state and apply
+ * every op through ns::apply, like every other system. Their LSM
+ * instances (the LevelDB model in src/lsm) only decide how long an op
+ * takes: charge_lsm() makes the row calls a flat path-keyed metadata
+ * table makes for an op's result, on the same keys and in the same
+ * order, so LSM write batching, flushes and bloom-filtered reads shape
+ * the timing. The row values carry the tree's inode under the row's own
+ * name, so memtable sizes (and with them flush timing) depend on the
+ * name and symlink target only.
  */
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/lsm/lsm_tree.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/op.h"
 #include "src/net/network.h"
 #include "src/sim/task.h"
+#include "src/store/store.h"
+#include "src/util/hash.h"
 
 namespace lfs::indexfs {
 
@@ -68,12 +74,62 @@ sim::Task<OpResult> apply_and_charge(sim::Simulation& sim,
 std::string symlink_hop(const ns::NamespaceTree& tree, const std::string& p);
 
 /**
- * Untimed preload of an existing path (workload setup): apply @p p's
- * mkdir (for a file, its parent's mkdir and its create) to @p tree as the
- * superuser, then spawn its row insert into @p lsm, which runs (with any
- * flush it triggers) during warmup.
+ * Untimed preload of an existing path (workload setup): store::
+ * preload_path, then spawn @p p's row insert into @p lsm, which runs
+ * (with any flush it triggers) during warmup.
  */
 void preload_row(ns::NamespaceTree& tree, lsm::LsmTree& lsm,
                  const std::string& p, ns::INodeType type);
+
+/**
+ * IndexFS' LSM store behind λFS's NameNodes: λIndexFS (§4, §5.7) is
+ * λFS's serverless caching layer, unchanged, in front of IndexFS'
+ * LevelDB instances. An op costs its row calls on the instance owning
+ * its directory partition (an open-for-read also fetches each symlink
+ * hop's row); statfs and GC read one aggregate row per instance. mv, the
+ * subtree ops and ls are not served. A write awaits its hook before it
+ * applies, with no row lock held.
+ */
+class LsmStore final : public store::Store {
+  public:
+    /** @p instances LevelDBs, one per original IndexFS client VM. */
+    LsmStore(sim::Simulation& sim, sim::Rng rng, int instances,
+             lsm::LsmConfig config);
+
+    ns::NamespaceTree& tree() override { return tree_; }
+    const ns::NamespaceTree& tree() const override { return tree_; }
+    bool serves(OpType type) const override;
+
+    sim::Task<OpResult> read_op(const Op& op) override
+    {
+        return transact(op, nullptr);
+    }
+    sim::Task<OpResult> write_op(const Op& op,
+                                 LockedHook after_lock = nullptr) override
+    {
+        return transact(op, after_lock);
+    }
+    sim::Task<OpResult> subtree_op(Op op,
+                                   store::SubtreeExecution exec) override;
+
+    uint64_t total_reads() const override { return reads_; }
+    uint64_t total_writes() const override { return writes_; }
+
+    /** Also spawns @p p's row insert (preload_row). */
+    void preload(const std::string& p, ns::INodeType type) override;
+
+  private:
+    /** The instance holding @p p's row (parent-directory hash). */
+    lsm::LsmTree& lsm_for(std::string_view p);
+
+    sim::Task<OpResult> transact(const Op& op, LockedHook after_lock);
+
+    sim::Simulation& sim_;
+    ns::NamespaceTree tree_;
+    ConsistentHashRing ring_;
+    std::vector<std::unique_ptr<lsm::LsmTree>> instances_;
+    uint64_t reads_ = 0;
+    uint64_t writes_ = 0;
+};
 
 }  // namespace lfs::indexfs

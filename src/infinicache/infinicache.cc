@@ -67,7 +67,7 @@ CacheNode::handle(faas::Invocation inv)
     co_await instance_.compute(fs_.config().write_cpu);
     sim::SimTime cpu_wait = sim.now() - cpu_start;
     if (is_subtree_op(op.type)) {
-        store::MetadataStore::SubtreeExecution exec;
+        store::SubtreeExecution exec;
         exec.after_lock = [this, &op]() -> sim::Task<void> {
             fs_.broadcast_prefix_invalidate(op.path);
             return fs_.invalidate_at_owner(path::parent(op.path));

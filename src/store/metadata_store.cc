@@ -474,13 +474,6 @@ MetadataStore::commit_subtree_batch(const std::string& shard_key, int64_t rows,
 }
 
 sim::Task<OpResult>
-MetadataStore::subtree_op(Op op)
-{
-    OpResult result = co_await subtree_op(std::move(op), SubtreeExecution{});
-    co_return result;
-}
-
-sim::Task<OpResult>
 MetadataStore::subtree_op(Op op, SubtreeExecution exec)
 {
     sim::Span txn_span =

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,7 +24,7 @@
 #include "src/sim/task.h"
 #include "src/store/data_node.h"
 #include "src/store/lock_table.h"
-#include "src/util/function_ref.h"
+#include "src/store/store.h"
 #include "src/util/overload.h"
 
 namespace lfs::store {
@@ -58,15 +57,14 @@ struct StoreConfig {
     util::BreakerConfig breaker;
 };
 
-class MetadataStore {
+class MetadataStore final : public Store {
   public:
     MetadataStore(sim::Simulation& sim, net::Network& network, sim::Rng rng,
                   StoreConfig config = {});
-    ~MetadataStore();
+    ~MetadataStore() override;
 
-    /** Untimed access to the authoritative namespace (setup, verification). */
-    ns::NamespaceTree& tree() { return tree_; }
-    const ns::NamespaceTree& tree() const { return tree_; }
+    ns::NamespaceTree& tree() override { return tree_; }
+    const ns::NamespaceTree& tree() const override { return tree_; }
 
     LockTable& locks() { return locks_; }
     const StoreConfig& config() const { return config_; }
@@ -76,55 +74,29 @@ class MetadataStore {
     // ------------------------------------------------------------------
 
     /**
-     * Coroutine-producing hook awaited while a transaction's locks are
-     * held. λFS injects its coherence protocol's INV/ACK round here so no
-     * other NameNode can read-and-cache between invalidation and commit
-     * (§3.5: the leader "will have taken exclusive write-locks ... so it
-     * will be impossible for another NameNode to read and cache the
-     * metadata before it is updated"). Non-owning: the callable must
-     * outlive the transaction.
-     */
-    using LockedHook = util::FunctionRef<sim::Task<void>()>;
-
-    /** NameNode-side execution parameters for a subtree operation. */
-    struct SubtreeExecution {
-        /** Awaited after the subtree flag is acquired (prefix INV round).
-            Owning: callers fill the struct before passing it along. */
-        std::function<sim::Task<void>()> after_lock;
-        /**
-         * Per-row NameNode processing cost added to each batch commit
-         * (callers divide by their offload parallelism, Appendix D).
-         */
-        sim::SimTime per_row_nn_cost = 0;
-    };
-
-    /**
      * Execute a read operation (read/stat/ls) as one batched path-resolve
      * transaction (the "INode Hint Cache" single-round-trip query), under
      * shared row locks on the target and its parent. The result includes
      * the full resolved chain for caching.
      */
-    sim::Task<OpResult> read_op(const Op& op);
+    sim::Task<OpResult> read_op(const Op& op) override;
 
     /**
      * Execute a single-inode write (create/mkdir/delete/mv): acquires
      * exclusive row locks in ascending-id order, awaits @p after_lock
      * (if any) while holding them, runs one write transaction on the
      * owning shard, applies the mutation, releases.
-     *
-     * @p op and the callable behind @p after_lock are referenced, not
-     * copied: both must outlive the returned task (co_await it in the
-     * same full-expression, as every caller does). read_op likewise.
      */
-    sim::Task<OpResult> write_op(const Op& op, LockedHook after_lock = nullptr);
+    sim::Task<OpResult> write_op(const Op& op,
+                                 LockedHook after_lock = nullptr) override;
 
     /**
      * Execute a subtree operation (recursive mv/delete) with the HopsFS
      * three-phase protocol: subtree-lock flag, quiesce (batched lock
      * walk), then batched sub-transactions (Appendix D).
      */
-    sim::Task<OpResult> subtree_op(Op op, SubtreeExecution exec);
-    sim::Task<OpResult> subtree_op(Op op);
+    sim::Task<OpResult> subtree_op(Op op,
+                                   SubtreeExecution exec = {}) override;
 
     /** One quiesce walk over @p rows rows (exposed for λFS's protocol). */
     sim::Task<Status> quiesce_rows(const std::string& shard_key, int64_t rows,
@@ -140,8 +112,8 @@ class MetadataStore {
     // Statistics
     // ------------------------------------------------------------------
 
-    uint64_t total_reads() const;
-    uint64_t total_writes() const;
+    uint64_t total_reads() const override;
+    uint64_t total_writes() const override;
     size_t queue_depth() const;
 
     /** Transactions shed by shard overload control (all shards/reasons). */

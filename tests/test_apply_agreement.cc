@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "src/cephfs/cephfs.h"
+#include "src/core/lambda_fs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/indexfs/lambda_indexfs.h"
 #include "src/net/network.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
@@ -395,10 +395,10 @@ TEST_P(ApplyAgreement, IndexFsFamilyAgreesWithTheStore)
     index_sim.run();
 
     sim::Simulation lambda_sim;
-    indexfs::LambdaIndexFsConfig lambda_config;
+    core::LambdaFsConfig lambda_config = core::lambda_indexfs_config();
     lambda_config.num_client_vms = 1;
     lambda_config.clients_per_vm = kPrincipals;
-    indexfs::LambdaIndexFs lambda_fs(lambda_sim, lambda_config);
+    core::LambdaFs lambda_fs(lambda_sim, lambda_config);
     std::vector<OpResult> from_lambda;
     sim::spawn(co_drive_dfs(lambda_fs, ops, from_lambda));
     lambda_sim.run();

@@ -16,7 +16,6 @@
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/indexfs/lambda_indexfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/flight_recorder.h"
@@ -325,13 +324,13 @@ TEST(AttributionInvariant, LambdaIndexFs)
 {
     Simulation sim;
     sim.set_attribution(true);
-    indexfs::LambdaIndexFsConfig config;
+    core::LambdaFsConfig config = core::lambda_indexfs_config();
     config.num_deployments = 2;
     config.total_vcpus = 16.0;
     config.num_client_vms = 2;
     config.clients_per_vm = 4;
-    config.num_lsm_instances = 2;
-    indexfs::LambdaIndexFs fs(sim, config);
+    config.store.num_data_nodes = 2;
+    core::LambdaFs fs(sim, config);
     fs.preload("/tt/d0", ns::INodeType::kDirectory);
     sim.run_until(sim::sec(5));
 

@@ -6,9 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/cephfs/cephfs.h"
+#include "src/core/lambda_fs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/indexfs/lambda_indexfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/sim/simulation.h"
 
@@ -41,6 +43,16 @@ run_one(Simulation& sim, workload::Dfs& fs, size_t client, Op op)
     sim::spawn(co_execute(fs.client(client), std::move(op), result));
     sim.run_until(sim.now() + sim::sec(60));
     return result;
+}
+
+/** Run @p ops back to back on @p client (well inside one lease TTL). */
+Task<void>
+co_execute_all(workload::DfsClient& client, std::vector<Op> ops,
+               std::vector<OpResult>& out)
+{
+    for (Op& op : ops) {
+        out.push_back(co_await client.execute(std::move(op)));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -237,6 +249,28 @@ TEST(IndexFs, LeaseCacheServesRepeatedReads)
     (void)second;
 }
 
+TEST(IndexFs, OwnMutationDropsItsLease)
+{
+    // Regression: the client's lease on a file outlived the client's own
+    // delete of it, and answered the next stat OK from the lease.
+    Simulation sim;
+    indexfs::IndexFs fs(sim, small_indexfs());
+    fs.preload("/tt/f", ns::INodeType::kFile);
+    sim.run_until(sim::sec(1));
+    std::vector<OpResult> got;
+    sim::spawn(co_execute_all(fs.client(0),
+                              {make_op(OpType::kStat, "/tt/f"),
+                               make_op(OpType::kDeleteFile, "/tt/f"),
+                               make_op(OpType::kStat, "/tt/f")},
+                              got));
+    sim.run_until(sim.now() + sim::sec(60));
+    ASSERT_EQ(got.size(), 3u);
+    ASSERT_TRUE(got[0].status.ok());
+    ASSERT_TRUE(got[1].status.ok());
+    EXPECT_EQ(got[2].status.code(), Code::kNotFound);
+    EXPECT_FALSE(got[2].cache_hit);
+}
+
 TEST(IndexFs, GetattrMissingIsNotFound)
 {
     Simulation sim;
@@ -250,22 +284,22 @@ TEST(IndexFs, GetattrMissingIsNotFound)
 // λIndexFS
 // ---------------------------------------------------------------------
 
-indexfs::LambdaIndexFsConfig
+core::LambdaFsConfig
 small_lambda_indexfs()
 {
-    indexfs::LambdaIndexFsConfig config;
+    core::LambdaFsConfig config = core::lambda_indexfs_config();
     config.num_deployments = 2;
     config.total_vcpus = 16.0;
     config.num_client_vms = 2;
     config.clients_per_vm = 4;
-    config.num_lsm_instances = 2;
+    config.store.num_data_nodes = 2;
     return config;
 }
 
 TEST(LambdaIndexFs, MknodThenGetattr)
 {
     Simulation sim;
-    indexfs::LambdaIndexFs fs(sim, small_lambda_indexfs());
+    core::LambdaFs fs(sim, small_lambda_indexfs());
     fs.preload("/tt/d0", ns::INodeType::kDirectory);
     sim.run_until(sim::sec(5));
     OpResult create =
@@ -279,7 +313,7 @@ TEST(LambdaIndexFs, MknodThenGetattr)
 TEST(LambdaIndexFs, FunctionCacheHitOnRepeatedRead)
 {
     Simulation sim;
-    indexfs::LambdaIndexFs fs(sim, small_lambda_indexfs());
+    core::LambdaFs fs(sim, small_lambda_indexfs());
     fs.preload("/tt/f", ns::INodeType::kFile);
     sim.run_until(sim::sec(5));
     OpResult first = run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/f"));
@@ -293,7 +327,7 @@ TEST(LambdaIndexFs, FunctionCacheHitOnRepeatedRead)
 TEST(LambdaIndexFs, WriteInvalidatesFunctionCache)
 {
     Simulation sim;
-    indexfs::LambdaIndexFs fs(sim, small_lambda_indexfs());
+    core::LambdaFs fs(sim, small_lambda_indexfs());
     fs.preload("/tt/f", ns::INodeType::kFile);
     sim.run_until(sim::sec(5));
     ASSERT_TRUE(
@@ -303,6 +337,26 @@ TEST(LambdaIndexFs, WriteInvalidatesFunctionCache)
     EXPECT_EQ(run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/f"))
                   .status.code(),
               Code::kNotFound);
+}
+
+TEST(LambdaIndexFs, ChildCreateInvalidatesCachedParent)
+{
+    // Regression: a create's INV round skipped the parent directory, so
+    // the function cache kept serving the directory's old version.
+    Simulation sim;
+    core::LambdaFs fs(sim, small_lambda_indexfs());
+    fs.preload("/tt/d", ns::INodeType::kDirectory);
+    sim.run_until(sim::sec(5));
+    ASSERT_TRUE(
+        run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/d")).status.ok());
+    ASSERT_TRUE(run_one(sim, fs, 1, make_op(OpType::kCreateFile, "/tt/d/n"))
+                    .status.ok());
+    OpResult again = run_one(sim, fs, 0, make_op(OpType::kStat, "/tt/d"));
+    ASSERT_TRUE(again.status.ok());
+    auto want = fs.authoritative_tree().stat("/tt/d", ns::UserContext{});
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(again.inode.version, want->version);
+    EXPECT_EQ(again.inode.mtime, want->mtime);
 }
 
 // ---------------------------------------------------------------------
@@ -378,7 +432,7 @@ TEST(IndexFsFamily, NamespaceDecidesCreatesChmodAndOpen)
     }
     {
         Simulation sim;
-        indexfs::LambdaIndexFs fs(sim, small_lambda_indexfs());
+        core::LambdaFs fs(sim, small_lambda_indexfs());
         sim.run_until(sim::sec(5));
         expect_namespace_semantics(sim, fs);
     }

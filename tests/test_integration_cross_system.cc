@@ -17,7 +17,6 @@
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/indexfs/lambda_indexfs.h"
 #include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/microbench.h"
@@ -276,13 +275,13 @@ TEST(CrossSystem, OpenForReadChecksReadPermissionEverywhere)
     }
     {
         Simulation sim;
-        indexfs::LambdaIndexFsConfig config;
+        core::LambdaFsConfig config = core::lambda_indexfs_config();
         config.num_deployments = 2;
         config.total_vcpus = 16.0;
-        config.num_lsm_instances = 2;
+        config.store.num_data_nodes = 2;
         config.num_client_vms = 1;
         config.clients_per_vm = 1;
-        indexfs::LambdaIndexFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         check(fs, sim);
     }
 }
@@ -382,13 +381,13 @@ TEST(CrossSystem, WarmCacheOpenChecksReadPermission)
     }
     {
         Simulation sim;
-        indexfs::LambdaIndexFsConfig config;
+        core::LambdaFsConfig config = core::lambda_indexfs_config();
         config.num_deployments = 1;
         config.total_vcpus = 16.0;
-        config.num_lsm_instances = 2;
+        config.store.num_data_nodes = 2;
         config.num_client_vms = 1;
         config.clients_per_vm = 1;
-        indexfs::LambdaIndexFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         check(fs, sim);
     }
 }
