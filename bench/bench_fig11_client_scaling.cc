@@ -33,6 +33,7 @@ run_figure()
     struct Cell {
         OpType op;
         std::string system;
+        int64_t ops = 0;  ///< clients x ops per client
     };
     std::vector<Cell> cells;
     SweepRunner sweep;
@@ -42,7 +43,9 @@ run_figure()
                 std::string label = std::string("fig11/") + op_name(op) +
                                     "/" + system +
                                     "/clients=" + std::to_string(clients);
-                cells.push_back(Cell{op, system});
+                cells.push_back(Cell{
+                    op, system,
+                    static_cast<int64_t>(clients) * ops_per_client()});
                 sweep.add(label, [=]() {
                     SystemInstance instance =
                         make_system(system, vcpus, clients);
@@ -55,7 +58,9 @@ run_figure()
                         *instance.sim, *instance.dfs,
                         std::move(instance.tree), mcfg);
                     char buf[64];
-                    std::snprintf(buf, sizeof(buf), "%.17g", r.ops_per_sec);
+                    std::snprintf(buf, sizeof(buf), "%.17g %lld",
+                                  r.ops_per_sec,
+                                  static_cast<long long>(r.completed));
                     return std::string(buf);
                 });
             }
@@ -65,9 +70,14 @@ run_figure()
     // results[op][system] -> series over client counts
     std::map<OpType, std::map<std::string, std::vector<double>>> results;
     std::vector<std::string> payloads = sweep.run();
+    std::map<std::string, int> short_cells;
     for (size_t i = 0; i < payloads.size(); ++i) {
+        char* end = nullptr;
         results[cells[i].op][cells[i].system].push_back(
-            std::strtod(payloads[i].c_str(), nullptr));
+            std::strtod(payloads[i].c_str(), &end));
+        if (std::strtoll(end, nullptr, 10) < cells[i].ops) {
+            ++short_cells[cells[i].system];
+        }
     }
 
     for (OpType op : microbench_ops()) {
@@ -121,6 +131,7 @@ run_figure()
                 fmt(at_max(OpType::kReadFile, "infinicache") /
                     at_max(OpType::kReadFile, "lambda-fs")) +
                     "x of lambda-fs read");
+    print_short_cells_check(short_cells);
 }
 
 }  // namespace

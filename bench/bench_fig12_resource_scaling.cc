@@ -31,6 +31,7 @@ run_figure()
     struct Cell {
         OpType op;
         std::string system;
+        int64_t ops = 0;  ///< clients x ops per client
     };
     std::vector<Cell> cells;
     SweepRunner sweep;
@@ -40,7 +41,9 @@ run_figure()
                 std::string label = std::string("fig12/") + op_name(op) +
                                     "/" + system + "/vcpus=" +
                                     std::to_string(static_cast<int>(vcpus));
-                cells.push_back(Cell{op, system});
+                cells.push_back(Cell{
+                    op, system,
+                    static_cast<int64_t>(clients) * ops_per_client()});
                 sweep.add(label, [=]() {
                     SystemInstance instance =
                         make_system(system, vcpus, clients);
@@ -53,7 +56,9 @@ run_figure()
                         *instance.sim, *instance.dfs,
                         std::move(instance.tree), mcfg);
                     char buf[64];
-                    std::snprintf(buf, sizeof(buf), "%.17g", r.ops_per_sec);
+                    std::snprintf(buf, sizeof(buf), "%.17g %lld",
+                                  r.ops_per_sec,
+                                  static_cast<long long>(r.completed));
                     return std::string(buf);
                 });
             }
@@ -62,9 +67,14 @@ run_figure()
 
     std::map<OpType, std::map<std::string, std::vector<double>>> results;
     std::vector<std::string> payloads = sweep.run();
+    std::map<std::string, int> short_cells;
     for (size_t i = 0; i < payloads.size(); ++i) {
+        char* end = nullptr;
         results[cells[i].op][cells[i].system].push_back(
-            std::strtod(payloads[i].c_str(), nullptr));
+            std::strtod(payloads[i].c_str(), &end));
+        if (std::strtoll(end, nullptr, 10) < cells[i].ops) {
+            ++short_cells[cells[i].system];
+        }
     }
 
     for (OpType op : microbench_ops()) {
@@ -97,6 +107,7 @@ run_figure()
                 fmt(results[OpType::kCreateFile]["lambda-fs"].back() /
                     results[OpType::kCreateFile]["lambda-fs"].front()) +
                     "x create scale-up for lambda-fs");
+    print_short_cells_check(short_cells);
 }
 
 }  // namespace

@@ -290,9 +290,8 @@ make_instance(const std::string& kind, const char* scenario)
             make_hops_config(kind, kVcpus, kind == "hopsfs+cache", kVms,
                              kClientsPerVm));
     } else if (kind == "infinicache") {
-        instance.dfs = std::make_unique<infinicache::InfiniCacheFs>(
-            *instance.sim,
-            make_infinicache_config(kVcpus, kVms, kClientsPerVm));
+        instance.dfs =
+            make_infinicache(*instance.sim, kVcpus, kVms, kClientsPerVm);
     } else if (kind == "cephfs") {
         instance.dfs = std::make_unique<cephfs::CephFs>(
             *instance.sim, make_cephfs_config(kVms, kClientsPerVm));

@@ -574,18 +574,22 @@ make_hops_config(const std::string& label, double total_vcpus, bool cache,
     return config;
 }
 
-infinicache::InfiniCacheConfig
-make_infinicache_config(double total_vcpus, int num_vms, int clients_per_vm,
-                        double store_scale)
+std::unique_ptr<core::LambdaFs>
+make_infinicache(sim::Simulation& sim, double total_vcpus, int num_vms,
+                 int clients_per_vm)
 {
-    infinicache::InfiniCacheConfig config;
+    core::LambdaFsConfig config = core::infinicache_config();
     config.total_vcpus = total_vcpus;
-    config.num_functions = std::max(
-        1, static_cast<int>(std::lround(total_vcpus / 6.25)));
+    // Whole functions only: a deployment past the cap could never place
+    // its one instance.
+    config.num_deployments = std::max(
+        1, static_cast<int>(total_vcpus / config.function.vcpus));
     config.num_client_vms = num_vms;
     config.clients_per_vm = clients_per_vm;
-    config.store = make_store_config(store_scale);
-    return config;
+    config.store = make_store_config();
+    auto fs = std::make_unique<core::LambdaFs>(sim, std::move(config));
+    fs->set_max_instances_per_deployment(1);
+    return fs;
 }
 
 cephfs::CephFsConfig
@@ -620,9 +624,8 @@ make_system(const std::string& kind, double total_vcpus, int num_clients)
         instance.tree = build_bench_tree(fs->authoritative_tree());
         instance.dfs = std::move(fs);
     } else if (kind == "infinicache") {
-        auto fs = std::make_unique<infinicache::InfiniCacheFs>(
-            *instance.sim,
-            make_infinicache_config(total_vcpus, num_vms, clients_per_vm));
+        auto fs = make_infinicache(*instance.sim, total_vcpus, num_vms,
+                                   clients_per_vm);
         instance.tree = build_bench_tree(fs->authoritative_tree());
         instance.dfs = std::move(fs);
     } else if (kind == "cephfs") {
@@ -826,6 +829,18 @@ void
 print_check(const char* claim, const std::string& measured)
 {
     std::printf("  PAPER: %-58s | MEASURED: %s\n", claim, measured.c_str());
+}
+
+void
+print_short_cells_check(const std::map<std::string, int>& short_cells)
+{
+    std::string counts = "short cells:";
+    for (const std::string& system : microbench_systems()) {
+        auto it = short_cells.find(system);
+        counts += " " + system + "=" +
+                  std::to_string(it == short_cells.end() ? 0 : it->second);
+    }
+    print_check("every cell completes clients x ops_per_client ops", counts);
 }
 
 std::string

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,7 +26,6 @@
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/dfs_interface.h"
 #include "src/workload/spotify_workload.h"
@@ -197,11 +198,15 @@ hopsfs::HopsFsConfig make_hops_config(const std::string& label,
                                       int num_vms, int clients_per_vm,
                                       double store_scale = 1.0);
 
-infinicache::InfiniCacheConfig make_infinicache_config(double total_vcpus,
-                                                       int num_vms,
-                                                       int clients_per_vm,
-                                                       double store_scale =
-                                                           1.0);
+/**
+ * InfiniCache: λFS from core::infinicache_config() with as many
+ * deployments as @p total_vcpus holds whole functions, each capped at its
+ * one prewarmed instance (a fixed pool).
+ */
+std::unique_ptr<core::LambdaFs> make_infinicache(sim::Simulation& sim,
+                                                 double total_vcpus,
+                                                 int num_vms,
+                                                 int clients_per_vm);
 
 cephfs::CephFsConfig make_cephfs_config(int num_vms, int clients_per_vm);
 
@@ -302,6 +307,14 @@ void print_degradation_summary(const IndustrialRun& run, bool always = false);
 
 /** "PAPER: ... | MEASURED: ..." comparison line. */
 void print_check(const char* claim, const std::string& measured);
+
+/**
+ * Figure 11/12 completeness check: per microbench system, the number of
+ * sweep cells that completed fewer than their clients x ops-per-client
+ * ops (a stalled cell otherwise shows only as a low throughput).
+ * scripts/check.sh fails unless every count is 0.
+ */
+void print_short_cells_check(const std::map<std::string, int>& short_cells);
 
 std::string fmt(double v, int precision = 2);
 

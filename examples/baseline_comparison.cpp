@@ -12,7 +12,6 @@
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
-#include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/microbench.h"
 
@@ -88,11 +87,12 @@ main()
     }
     {
         sim::Simulation sim;
-        infinicache::InfiniCacheConfig config;
-        config.num_functions = 16;
+        core::LambdaFsConfig config = core::infinicache_config();
+        config.num_deployments = 16;
         config.total_vcpus = 128.0;
         config.clients_per_vm = clients / 8;
-        infinicache::InfiniCacheFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
+        fs.set_max_instances_per_deployment(1);
         report("infinicache", workload::run_microbench(
                                   sim, fs,
                                   demo_tree(fs.authoritative_tree()), mcfg));

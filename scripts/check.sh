@@ -12,8 +12,9 @@
 #   4. run one bench harness at tiny scale with --trace-out/--metrics-out
 #      and confirm both artifacts are valid JSON with the expected shape
 #   5. run a tiny bench with --attribution and confirm the latency
-#      attribution ledger populates at least 6 segments and the flight
+#      attribution ledger populates at least 6 segments, the flight
 #      recorder retains at least 8 tail exemplars (scripts/lfs_report.py)
+#      and every sweep cell of every system completed all of its ops
 #   6. parallel-determinism gate: run one sweep harness twice — serial
 #      (LFS_SWEEP_JOBS=1) and forked (LFS_SWEEP_JOBS=4) — and diff the
 #      outputs byte-for-byte after dropping the wall-clock [perf] lines
@@ -138,6 +139,16 @@ grep -q '^\s*\[attribution\]' "$ATTR_OUT" || {
     echo "FAIL: no [attribution] table in bench output"; exit 1; }
 grep -q '^\s*\[flight-recorder\]' "$ATTR_OUT" || {
     echo "FAIL: no [flight-recorder] line in bench output"; exit 1; }
+# A cell whose ops stall until their clients give up still prints a
+# throughput; the completeness check line names such cells per system.
+SHORT_CELLS="$(grep 'short cells:' "$ATTR_OUT")" || {
+    echo "FAIL: no short-cells check line in bench output"; exit 1; }
+if grep -Eq '=[1-9]' <<<"$SHORT_CELLS"; then
+    echo "FAIL: fig11 cells completed fewer ops than they issued:"
+    echo "$SHORT_CELLS"
+    exit 1
+fi
+echo "  ok: every fig11 cell completed all of its ops"
 python3 scripts/lfs_report.py "$ATTR_JSON" \
     --check-segments 6 --check-exemplars 8 > "$ARTIFACT_DIR/attr_report.txt"
 tail -2 "$ARTIFACT_DIR/attr_report.txt"

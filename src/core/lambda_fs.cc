@@ -1,6 +1,8 @@
 #include "src/core/lambda_fs.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/indexfs/lsm_timing.h"
 
@@ -57,6 +59,7 @@ LambdaFsConfig
 lambda_indexfs_config()
 {
     LambdaFsConfig config;
+    config.label = "lambda-indexfs";
     config.num_deployments = 8;
     config.total_vcpus = 64.0;
     config.function.vcpus = 4.0;
@@ -77,6 +80,30 @@ lambda_indexfs_config()
     config.clients_per_vm = 64;
     config.max_clients_per_tcp_server = 32;
     config.seed = 47;
+    return config;
+}
+
+LambdaFsConfig
+infinicache_config()
+{
+    LambdaFsConfig config;
+    config.label = "infinicache";
+    config.num_deployments = 64;
+    config.function.memory_gb = 3.0;
+    config.function.concurrency_level = 8;
+    config.function.idle_reclaim = 0;  // fixed pool: never reclaimed
+    config.name_node.read_cpu = sim::usec(400);
+    config.name_node.read_block_cpu = 0;
+    config.name_node.miss_extra_cpu = 0;
+    config.name_node.write_cpu = sim::usec(500);
+    config.name_node.cache_bytes = 512ull * 1024 * 1024;
+    config.name_node.report_interval = 0;
+    // No long-lived TCP RPC: every op is a fresh gateway invocation.
+    config.client.http_replace_probability = 1.0;
+    config.client.straggler_mitigation = false;
+    config.client.anti_thrashing = false;
+    config.client.max_attempts = 4;
+    config.seed = 44;
     return config;
 }
 
@@ -154,6 +181,18 @@ LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
                                                   config_.name_node);
             });
         deployment.prewarm(config_.prewarm_per_deployment);
+        // A deployment short of its prewarmed instances has no room to
+        // ever place one (a fixed pool has no other), so every op hashed
+        // to it would stall until its client gave up.
+        if (deployment.alive_count() < config_.prewarm_per_deployment) {
+            std::fprintf(stderr,
+                         "LambdaFs: deployment %s placed %d of %d "
+                         "prewarmed instances within the %.2f-vCPU cap\n",
+                         deployment.name().c_str(), deployment.alive_count(),
+                         config_.prewarm_per_deployment,
+                         config_.total_vcpus);
+            std::abort();
+        }
     }
 
     int servers = tcp_servers_per_vm(config_);

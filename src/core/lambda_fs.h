@@ -4,7 +4,9 @@
  * store, coordinator, namespace partitioner, TCP registry, serverless
  * NameNode deployments, and client VMs into one deployable system
  * implementing the workload::Dfs interface (Figure 2). Over IndexFS' LSM
- * store instead of NDB, the same assembly is λIndexFS (§4, §5.7).
+ * store instead of NDB, the same assembly is λIndexFS (§4, §5.7); as a
+ * fixed pool reached only through the API gateway, it is InfiniCache
+ * (§5.1).
  */
 #pragma once
 
@@ -59,6 +61,8 @@ struct OverloadControlConfig {
 };
 
 struct LambdaFsConfig {
+    /** System name in metrics and attribution labels. */
+    std::string label = "lambda-fs";
     /** Number of function deployments the namespace is hashed across. */
     int num_deployments = 16;
     /** Platform resource cap (the paper's fairness normalization). */
@@ -96,16 +100,23 @@ struct LambdaFsConfig {
  */
 LambdaFsConfig lambda_indexfs_config();
 
+/**
+ * InfiniCache as §5.1 deploys it, "an approximation of λFS with no
+ * auto-scaling or long-lived TCP-RPC request mechanism": 64 one-instance
+ * deployments of 6.25-vCPU / 3-GB functions on 512 vCPUs, never reclaimed,
+ * and every op a fresh invocation through the API gateway. The instance
+ * cap is not a config field: cap the built system with
+ * LambdaFs::set_max_instances_per_deployment(1).
+ */
+LambdaFsConfig infinicache_config();
+
 class LambdaFs : public workload::Dfs {
   public:
     LambdaFs(sim::Simulation& sim, LambdaFsConfig config);
     ~LambdaFs() override;
 
     // workload::Dfs
-    std::string name() const override
-    {
-        return config_.lsm_store ? "lambda-indexfs" : "lambda-fs";
-    }
+    std::string name() const override { return config_.label; }
     workload::DfsClient& client(size_t index) override;
     size_t client_count() const override { return clients_.size(); }
     workload::SystemMetrics& metrics() override { return metrics_; }

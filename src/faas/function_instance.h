@@ -60,8 +60,8 @@ struct Invocation {
 
 /**
  * The application running inside a function instance. Implementations
- * (λFS NameNode, InfiniCache node, ...) keep whatever state they retain
- * across invocations as members.
+ * (the λFS NameNode, test apps) keep whatever state they retain across
+ * invocations as members.
  */
 class FunctionApp {
   public:

@@ -1,11 +1,11 @@
 /**
  * @file
  * The one op applier: the only code that maps an OpType onto
- * NamespaceTree calls. Every system applies ops here — λFS, HopsFS,
- * HopsFS+Cache and InfiniCache through the metadata store, CephFS, and
- * IndexFS and λIndexFS over their LSM timing backend — so the systems
- * differ in timing, locking and caching and never in what an op does
- * (DESIGN.md §12).
+ * NamespaceTree calls. Every system applies ops here — λFS (and
+ * InfiniCache, a λFS preset), HopsFS and HopsFS+Cache through the
+ * metadata store, CephFS, and IndexFS and λIndexFS over their LSM timing
+ * backend — so the systems differ in timing, locking and caching and
+ * never in what an op does (DESIGN.md §12).
  */
 #pragma once
 

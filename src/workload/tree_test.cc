@@ -27,8 +27,8 @@ struct TreeTestState {
 };
 
 sim::Task<void>
-co_write_phase(sim::Simulation& sim, Dfs& dfs, size_t client, int64_t ops,
-               TreeTestState& state, sim::Rng rng)
+co_write_phase(Dfs& dfs, size_t client, int64_t ops, TreeTestState& state,
+               sim::Rng rng)
 {
     for (int64_t i = 0; i < ops; ++i) {
         const std::string& dir = state.dirs[rng.index(state.dirs.size())];
@@ -49,8 +49,8 @@ co_write_phase(sim::Simulation& sim, Dfs& dfs, size_t client, int64_t ops,
 }
 
 sim::Task<void>
-co_read_phase(sim::Simulation& sim, Dfs& dfs, size_t client, int64_t ops,
-              TreeTestState& state, sim::Rng rng)
+co_read_phase(Dfs& dfs, size_t client, int64_t ops, TreeTestState& state,
+              sim::Rng rng)
 {
     for (int64_t i = 0; i < ops; ++i) {
         Op op;
@@ -64,7 +64,6 @@ co_read_phase(sim::Simulation& sim, Dfs& dfs, size_t client, int64_t ops,
         }
     }
     state.read_done.done();
-    (void)sim;
 }
 
 sim::Task<void>
@@ -126,8 +125,7 @@ run_tree_test(sim::Simulation& sim, Dfs& dfs, TreeTestConfig config,
     sim::SimTime write_begin = sim.now();
     for (size_t c = 0; c < clients; ++c) {
         state.write_done.add();
-        sim::spawn(
-            co_write_phase(sim, dfs, c, per_client, state, rng.fork()));
+        sim::spawn(co_write_phase(dfs, c, per_client, state, rng.fork()));
     }
     while (state.write_done.count() > 0 && sim.step()) {
     }
@@ -141,8 +139,7 @@ run_tree_test(sim::Simulation& sim, Dfs& dfs, TreeTestConfig config,
     sim::SimTime read_begin = sim.now();
     for (size_t c = 0; c < clients; ++c) {
         state.read_done.add();
-        sim::spawn(
-            co_read_phase(sim, dfs, c, per_client, state, rng.fork()));
+        sim::spawn(co_read_phase(dfs, c, per_client, state, rng.fork()));
     }
     while (state.read_done.count() > 0 && sim.step()) {
     }

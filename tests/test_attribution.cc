@@ -16,7 +16,6 @@
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/latency.h"
@@ -348,13 +347,14 @@ TEST(AttributionInvariant, InfiniCache)
 {
     Simulation sim;
     sim.set_attribution(true);
-    infinicache::InfiniCacheConfig config;
-    config.num_functions = 4;
+    core::LambdaFsConfig config = core::infinicache_config();
+    config.num_deployments = 4;
     config.total_vcpus = 32.0;
     config.function.vcpus = 4.0;
     config.num_client_vms = 2;
     config.clients_per_vm = 8;
-    infinicache::InfiniCacheFs fs(sim, config);
+    core::LambdaFs fs(sim, config);
+    fs.set_max_instances_per_deployment(1);
     ns::UserContext root;
     fs.authoritative_tree().create_file("/f", root, 0);
     sim.run_until(sim::sec(5));

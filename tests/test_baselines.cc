@@ -1,17 +1,18 @@
 /**
  * @file
- * Tests for the remaining baselines: InfiniCache (fixed function pool,
- * HTTP-only), the CephFS-like MDS cluster with capabilities, IndexFS on
+ * Tests for the remaining baselines: InfiniCache (λFS as a fixed function
+ * pool reached only over HTTP), the CephFS-like MDS cluster with capabilities, IndexFS on
  * the LSM store, and λIndexFS.
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/infinicache/infinicache.h"
 #include "src/sim/simulation.h"
 
 namespace lfs {
@@ -59,22 +60,26 @@ co_execute_all(workload::DfsClient& client, std::vector<Op> ops,
 // InfiniCache
 // ---------------------------------------------------------------------
 
-infinicache::InfiniCacheConfig
-small_infinicache()
+/** A 4-function InfiniCache pool, capped at one instance per function. */
+std::unique_ptr<core::LambdaFs>
+small_infinicache(Simulation& sim)
 {
-    infinicache::InfiniCacheConfig config;
-    config.num_functions = 4;
+    core::LambdaFsConfig config = core::infinicache_config();
+    config.num_deployments = 4;
     config.total_vcpus = 32.0;
     config.function.vcpus = 4.0;
     config.num_client_vms = 2;
     config.clients_per_vm = 8;
-    return config;
+    auto fs = std::make_unique<core::LambdaFs>(sim, config);
+    fs->set_max_instances_per_deployment(1);
+    return fs;
 }
 
 TEST(InfiniCache, FixedPoolNeverScales)
 {
     Simulation sim;
-    infinicache::InfiniCacheFs fs(sim, small_infinicache());
+    auto owned = small_infinicache(sim);
+    core::LambdaFs& fs = *owned;
     ns::UserContext root;
     fs.authoritative_tree().create_file("/f", root, 0);
     sim.run_until(sim::sec(5));
@@ -91,7 +96,8 @@ TEST(InfiniCache, FixedPoolNeverScales)
 TEST(InfiniCache, SecondReadIsCacheHit)
 {
     Simulation sim;
-    infinicache::InfiniCacheFs fs(sim, small_infinicache());
+    auto owned = small_infinicache(sim);
+    core::LambdaFs& fs = *owned;
     ns::UserContext root;
     fs.authoritative_tree().create_file("/f", root, 0);
     sim.run_until(sim::sec(5));
@@ -106,7 +112,8 @@ TEST(InfiniCache, SecondReadIsCacheHit)
 TEST(InfiniCache, WriteInvalidatesOwner)
 {
     Simulation sim;
-    infinicache::InfiniCacheFs fs(sim, small_infinicache());
+    auto owned = small_infinicache(sim);
+    core::LambdaFs& fs = *owned;
     ns::UserContext root;
     fs.authoritative_tree().mkdirs("/d", root, 0);
     fs.authoritative_tree().create_file("/d/f", root, 0);
@@ -118,6 +125,47 @@ TEST(InfiniCache, WriteInvalidatesOwner)
     EXPECT_EQ(run_one(sim, fs, 0, make_op(OpType::kStat, "/d/f"))
                   .status.code(),
               Code::kNotFound);
+}
+
+TEST(InfiniCache, EveryOpCrossesTheGateway)
+{
+    Simulation sim;
+    auto owned = small_infinicache(sim);
+    core::LambdaFs& fs = *owned;
+    ns::UserContext root;
+    fs.authoritative_tree().mkdirs("/d", root, 0);
+    sim.run_until(sim::sec(5));
+    // Reads and writes alike, each client running several ops on its own
+    // file back to back: no op ever rides the connection that a served
+    // HTTP call opens back to the client's VM.
+    constexpr size_t kOpsPerClient = 5;
+    std::vector<std::vector<OpResult>> results(fs.client_count());
+    for (size_t c = 0; c < fs.client_count(); ++c) {
+        std::string f = "/d/f" + std::to_string(c);
+        std::vector<Op> ops = {
+            make_op(OpType::kStat, "/d"),
+            make_op(OpType::kCreateFile, f),
+            make_op(OpType::kStat, f),
+            make_op(OpType::kLs, "/d"),
+            make_op(OpType::kDeleteFile, f),
+        };
+        sim::spawn(co_execute_all(fs.client(c), std::move(ops), results[c]));
+    }
+    sim.run_until(sim.now() + sim::sec(60));
+    uint64_t tcp = 0;
+    uint64_t http = 0;
+    size_t answered = 0;
+    for (size_t c = 0; c < fs.client_count(); ++c) {
+        tcp += fs.lfs_client(c).tcp_rpcs();
+        http += fs.lfs_client(c).http_rpcs();
+        for (const OpResult& r : results[c]) {
+            answered += r.status.ok() ? 1 : 0;
+        }
+    }
+    const size_t n = fs.client_count() * kOpsPerClient;
+    EXPECT_EQ(answered, n);
+    EXPECT_EQ(tcp, 0u);
+    EXPECT_EQ(http, n);
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include "src/core/lambda_fs.h"
 #include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
-#include "src/infinicache/infinicache.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/microbench.h"
 #include "src/workload/spotify_workload.h"
@@ -122,13 +121,14 @@ TEST(CrossSystem, WritesAreStoreBoundEverywhere)
 TEST(CrossSystem, InfiniCachePaysGatewayLatencyPerOp)
 {
     Simulation sim;
-    infinicache::InfiniCacheConfig config;
-    config.num_functions = 4;
+    core::LambdaFsConfig config = core::infinicache_config();
+    config.num_deployments = 4;
     config.total_vcpus = 32.0;
     config.function.vcpus = 4.0;
     config.num_client_vms = 2;
     config.clients_per_vm = 8;
-    infinicache::InfiniCacheFs fs(sim, config);
+    core::LambdaFs fs(sim, config);
+    fs.set_max_instances_per_deployment(1);
     workload::MicrobenchResult r = bench_reads(sim, fs, 16, 100);
     // Every op crosses the gateway twice: mean latency must sit in the
     // HTTP band (>= 7ms), far above the TCP-RPC systems.
@@ -174,6 +174,18 @@ TEST(CrossSystem, SpotifyWorkloadCompletesOnAllSystems)
         config.num_client_vms = 2;
         config.clients_per_vm = 16;
         hopsfs::HopsFs fs(sim, config);
+        run(fs, sim);
+    }
+    {
+        Simulation sim;
+        core::LambdaFsConfig config = core::infinicache_config();
+        config.num_deployments = 4;
+        config.total_vcpus = 32.0;
+        config.function.vcpus = 4.0;
+        config.num_client_vms = 2;
+        config.clients_per_vm = 16;
+        core::LambdaFs fs(sim, config);
+        fs.set_max_instances_per_deployment(1);
         run(fs, sim);
     }
     {
@@ -358,13 +370,14 @@ TEST(CrossSystem, WarmCacheOpenChecksReadPermission)
     }
     {
         Simulation sim;
-        infinicache::InfiniCacheConfig config;
-        config.num_functions = 1;
+        core::LambdaFsConfig config = core::infinicache_config();
+        config.num_deployments = 1;
         config.total_vcpus = 32.0;
         config.function.vcpus = 4.0;
         config.num_client_vms = 1;
         config.clients_per_vm = 1;
-        infinicache::InfiniCacheFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
+        fs.set_max_instances_per_deployment(1);
         check(fs, sim);
     }
     {

@@ -76,6 +76,25 @@ TEST(LambdaFs, ConstructionWiresEverything)
     EXPECT_EQ(fs.coordinator().total_members(), 4u);
 }
 
+TEST(LambdaFsDeathTest, PrewarmPastTheVcpuCapAborts)
+{
+    // 82 prewarmed 6.25-vCPU functions ask for 512.5 of 512 vCPUs: the
+    // last deployment can never place its instance, and in a fixed pool
+    // every op hashed to it would stall until its client gave up.
+    LambdaFsConfig config;
+    config.total_vcpus = 512.0;
+    config.function.vcpus = 6.25;
+    config.num_deployments = 82;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 1;
+    EXPECT_DEATH(
+        {
+            Simulation sim;
+            LambdaFs fs(sim, config);
+        },
+        "deployment NameNode81 placed 0 of 1 prewarmed instances");
+}
+
 TEST(LambdaFs, ReadThroughStoreAndCache)
 {
     Simulation sim;

@@ -8,7 +8,11 @@
  *    nothing;
  *  - a warm make_shared_one_shot make/set/wait/destroy cycle draws its
  *    cell from the frame pool and allocates nothing, including when the
- *    reply lands after the timeout won and the cell outlives its waiter.
+ *    reply lands after the timeout won and the cell outlives its waiter;
+ *  - a warm λFS stat/create/delete loop never asks the heap for more than
+ *    the frame pool's largest class (FramePool::kMaxPooled): a coroutine
+ *    frame that outgrows it (NameNode::handle's sits close) would cost a
+ *    heap allocation on every op without anything failing.
  *
  * The proof instruments the global allocator, so this test lives in its
  * own binary (one executable per test_*.cc). Component names stay within
@@ -23,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/lambda_fs.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/sim/primitives.h"
 #include "src/sim/simulation.h"
@@ -31,6 +36,8 @@
 namespace {
 
 uint64_t g_allocations = 0;
+/** Requests too large for any frame-pool class. */
+uint64_t g_unpooled_allocations = 0;
 
 }  // namespace
 
@@ -38,6 +45,9 @@ void*
 operator new(std::size_t size)
 {
     ++g_allocations;
+    if (size > lfs::sim::detail::FramePool::kMaxPooled) {
+        ++g_unpooled_allocations;
+    }
     void* p = std::malloc(size);
     if (p == nullptr) {
         throw std::bad_alloc();
@@ -186,6 +196,78 @@ TEST(WritePathZeroAlloc, LateReplyOutlivesItsWaiterWithoutAllocating)
     // 8 ms on a cell only it still holds, loses the race, and releases
     // the cell back to the pool.
     EXPECT_EQ(rpc_allocations(sim::msec(8), 500, -1), 0u);
+}
+
+// ---------------------------------------------------------------------
+// λFS op frames
+// ---------------------------------------------------------------------
+
+Op
+make_op(OpType type, const char* p)
+{
+    Op op;
+    op.type = type;
+    op.path = p;
+    return op;
+}
+
+/** @p cycles of stat (warm) -> create -> stat -> delete on one client. */
+sim::Task<void>
+co_op_cycles(workload::DfsClient& client, int cycles, int& failures,
+             int& hits, bool& done)
+{
+    for (int i = 0; i < cycles; ++i) {
+        OpResult warm =
+            co_await client.execute(make_op(OpType::kStat, "/w/g"));
+        failures += warm.status.ok() ? 0 : 1;
+        hits += warm.cache_hit ? 1 : 0;
+        for (OpType type :
+             {OpType::kCreateFile, OpType::kStat, OpType::kDeleteFile}) {
+            OpResult r = co_await client.execute(make_op(type, "/w/f"));
+            failures += r.status.ok() ? 0 : 1;
+        }
+    }
+    done = true;
+}
+
+/** Run @p cycles op cycles on @p fs's one client to completion. */
+void
+run_op_cycles(sim::Simulation& sim, core::LambdaFs& fs, int cycles,
+              int& failures, int& hits)
+{
+    bool done = false;
+    sim::spawn(co_op_cycles(fs.client(0), cycles, failures, hits, done));
+    while (!done && sim.step()) {
+    }
+    ASSERT_TRUE(done);
+}
+
+TEST(WritePathZeroAlloc, LambdaFsOpFramesFitTheFramePool)
+{
+    sim::Simulation sim;
+    core::LambdaFsConfig config;
+    config.total_vcpus = 16.0;
+    config.function.vcpus = 2.0;
+    config.num_deployments = 2;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 1;
+    core::LambdaFs fs(sim, config);
+    fs.preload("/w", ns::INodeType::kDirectory);
+    fs.preload("/w/g", ns::INodeType::kFile);
+    sim.run_until(sim::sec(5));
+    int failures = 0;
+    int hits = 0;
+    // Warm: open the TCP connection, fill the caches and every pool.
+    run_op_cycles(sim, fs, 50, failures, hits);
+
+    const uint64_t before = g_unpooled_allocations;
+    hits = 0;
+    run_op_cycles(sim, fs, 200, failures, hits);
+    EXPECT_EQ(g_unpooled_allocations - before, 0u)
+        << "an op took a coroutine frame (or other block) larger than "
+           "FramePool::kMaxPooled from the heap";
+    EXPECT_EQ(failures, 0);
+    EXPECT_GT(hits, 100);
 }
 
 }  // namespace
