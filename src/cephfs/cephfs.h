@@ -44,7 +44,6 @@ struct CephFsConfig {
     net::NetworkConfig network;
     int num_client_vms = 8;
     int clients_per_vm = 128;
-    sim::SimTime request_timeout = sim::sec(5);
     uint64_t seed = 45;
 };
 

@@ -5,11 +5,9 @@
 
 namespace lfs::coord {
 
-Coordinator::Coordinator(sim::Simulation& sim, net::Network& network,
-                         CoordinatorConfig config)
+Coordinator::Coordinator(sim::Simulation& sim, net::Network& network)
     : sim_(sim),
       network_(network),
-      config_(config),
       invs_(sim.metrics().counter("coord.invs")),
       rounds_(sim.metrics().counter("coord.rounds")),
       retransmits_(sim.metrics().counter("coord.retransmits"))
@@ -99,7 +97,7 @@ Coordinator::deliver_one(int group, CacheMember* member,
                          const std::string& path, bool subtree,
                          sim::WaitGroup* wg)
 {
-    sim::SimTime backoff = config_.ack_timeout;
+    sim::SimTime backoff = kAckTimeout;
     while (true) {
         if (!member->member_alive()) {
             break;  // excused: a dead member can't serve stale cache reads
@@ -114,7 +112,7 @@ Coordinator::deliver_one(int group, CacheMember* member,
         // so an ACK lost after a successful delivery only costs time.
         retransmits_.add();
         co_await sim::delay(sim_, backoff);
-        backoff = std::min(backoff * 2, config_.retransmit_backoff_max);
+        backoff = std::min(backoff * 2, kRetransmitBackoffMax);
     }
     wg->done();
 }

@@ -38,23 +38,19 @@ class CacheMember {
                                                  bool subtree) = 0;
 };
 
-/** Reliable-delivery knobs for the INV/ACK round. */
-struct CoordinatorConfig {
-    /**
-     * How long the leader waits for a member's ACK before retransmitting
-     * the INV. Generous versus the ~0.3-0.8 ms healthy coord round trip,
-     * tight versus the client-visible write timeout so a lossy network
-     * converges within one client attempt.
-     */
-    sim::SimTime ack_timeout = sim::msec(25);
-    /** Cap for the exponential retransmission backoff. */
-    sim::SimTime retransmit_backoff_max = sim::msec(400);
-};
+/**
+ * How long the leader waits for a member's ACK before retransmitting the
+ * INV. Generous versus the ~0.3-0.8 ms healthy coord round trip, tight
+ * versus the client-visible write timeout so a lossy network converges
+ * within one client attempt.
+ */
+inline constexpr sim::SimTime kAckTimeout = sim::msec(25);
+/** Cap for the exponential INV retransmission backoff. */
+inline constexpr sim::SimTime kRetransmitBackoffMax = sim::msec(400);
 
 class Coordinator {
   public:
-    Coordinator(sim::Simulation& sim, net::Network& network,
-                CoordinatorConfig config = {});
+    Coordinator(sim::Simulation& sim, net::Network& network);
 
     /** Register @p member as alive in @p group. */
     void join(int group, CacheMember* member);
@@ -118,7 +114,6 @@ class Coordinator {
 
     sim::Simulation& sim_;
     net::Network& network_;
-    CoordinatorConfig config_;
     std::unordered_map<int, std::vector<CacheMember*>> groups_;
     /** Bumped by every join/leave; invalidate() asserts its fan-out
         loop over a live member list sees none. */

@@ -10,6 +10,13 @@ namespace lfs::core {
 
 namespace {
 
+/** Base of the client's pre-retry backoff. */
+constexpr sim::SimTime kBackoffBase = sim::msec(50);
+/** Cap of the client's pre-retry backoff. */
+constexpr sim::SimTime kBackoffMax = sim::sec(2);
+/** Samples in the moving-average latency (Appendices B and C). */
+constexpr size_t kLatencyWindow = 64;
+
 /**
  * One TCP round racing into @p cell: hop, serve, hop back. A response
  * from an instance that died mid-request is never delivered — a
@@ -90,14 +97,13 @@ void
 LfsClient::record_latency(sim::SimTime latency)
 {
     double v = static_cast<double>(latency);
-    size_t window = static_cast<size_t>(std::max(config_.latency_window, 1));
-    if (latency_window_.size() < window) {
+    if (latency_window_.size() < kLatencyWindow) {
         latency_window_.push_back(v);
         latency_sum_ += v;
     } else {
         latency_sum_ += v - latency_window_[latency_cursor_];
         latency_window_[latency_cursor_] = v;
-        latency_cursor_ = (latency_cursor_ + 1) % window;
+        latency_cursor_ = (latency_cursor_ + 1) % kLatencyWindow;
     }
 }
 
@@ -156,16 +162,16 @@ LfsClient::issue_http(int deployment, faas::Invocation inv,
 sim::Task<void>
 LfsClient::backoff(int attempt, sim::SimTime& prev)
 {
-    if (config_.decorrelated_jitter) {
+    if (rt_.overload.enabled) {
         // Decorrelated jitter: sleep = min(cap, uniform(base, 3 * prev)).
         // Unlike exponential + bounded jitter, consecutive sleeps don't
         // cluster around the same powers of two across a client fleet, so
         // a synchronized retry wave spreads out instead of re-arriving as
         // a thundering herd.
-        sim::SimTime lo = config_.backoff_base;
+        sim::SimTime lo = kBackoffBase;
         sim::SimTime hi = std::max(3 * prev, lo + 1);
         sim::SimTime sleep =
-            std::min(config_.backoff_max, rng_.uniform_duration(lo, hi));
+            std::min(kBackoffMax, rng_.uniform_duration(lo, hi));
         prev = sleep;
         co_await sim::delay(rt_.sim, sleep);
         co_return;
@@ -173,8 +179,8 @@ LfsClient::backoff(int attempt, sim::SimTime& prev)
     // Exponential backoff with randomized jitter (§3.2).
     double factor = std::pow(2.0, std::min(attempt - 1, 8));
     auto base = static_cast<sim::SimTime>(
-        static_cast<double>(config_.backoff_base) * factor);
-    base = std::min(base, config_.backoff_max);
+        static_cast<double>(kBackoffBase) * factor);
+    base = std::min(base, kBackoffMax);
     auto jittered = static_cast<sim::SimTime>(
         static_cast<double>(base) * rng_.uniform(0.5, 1.5));
     prev = jittered;
@@ -190,8 +196,8 @@ LfsClient::execute(Op op)
     // Deadline propagation: stamp an absolute deadline so every hop can
     // shed this op once it is doomed. Subtree ops run for minutes by
     // design (Table 3) and are never deadlined.
-    if (config_.op_deadline > 0 && !is_subtree_op(op.type)) {
-        op.deadline = issued_at + config_.op_deadline;
+    if (rt_.overload.enabled && !is_subtree_op(op.type)) {
+        op.deadline = issued_at + rt_.overload.op_deadline;
     }
     // Retry budget: each fresh op earns the deployment's token bucket a
     // fraction of a retry; retries spend whole tokens. Caps the retry
@@ -219,7 +225,7 @@ LfsClient::execute(Op op)
     sim::LatencyLedger acc;
 
     OpResult result;
-    sim::SimTime prev_backoff = config_.backoff_base;
+    sim::SimTime prev_backoff = kBackoffBase;
     for (int attempt = 1; attempt <= config_.max_attempts; ++attempt) {
         if (attempt > 1) {
             // Give up instead of retrying once the op's deadline has

@@ -37,25 +37,13 @@ struct ClientConfig {
     /** Timeout for HTTP invocations (gateway queueing can be long). */
     sim::SimTime http_timeout = sim::sec(15);
     int max_attempts = 12;
-    sim::SimTime backoff_base = sim::msec(50);
-    sim::SimTime backoff_max = sim::sec(2);
     /** Appendix B: straggler mitigation. */
     bool straggler_mitigation = true;
     double straggler_threshold = 10.0;
-    int latency_window = 64;
     /** Appendix C: anti-thrashing mode. */
     bool anti_thrashing = true;
     double thrash_threshold = 2.5;
     sim::SimTime anti_thrash_duration = sim::sec(5);
-    // Overload control (defaults off; see DESIGN.md overload control).
-    /**
-     * Relative completion deadline stamped on every non-subtree op
-     * (0 = no deadlines). Propagated end-to-end so every hop can shed
-     * expired work; attempts stop once the deadline passes.
-     */
-    sim::SimTime op_deadline = 0;
-    /** Decorrelated-jitter backoff instead of exponential (AWS-style). */
-    bool decorrelated_jitter = false;
 };
 
 class LfsClient : public workload::DfsClient {
@@ -95,9 +83,10 @@ class LfsClient : public workload::DfsClient {
                                    sim::SimTime timeout, bool& duplicated);
 
     /**
-     * Pre-retry sleep. Exponential + jitter by default; with
-     * decorrelated_jitter, sleep = min(cap, uniform(base, 3 * prev)) —
-     * @p prev carries the previous sleep across this op's attempts.
+     * Pre-retry sleep. Exponential + jitter by default; under overload
+     * control, decorrelated jitter: sleep = min(cap, uniform(base,
+     * 3 * prev)) — @p prev carries the previous sleep across this op's
+     * attempts.
      */
     sim::Task<void> backoff(int attempt, sim::SimTime& prev);
 

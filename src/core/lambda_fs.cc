@@ -17,30 +17,6 @@ tcp_servers_per_vm(const LambdaFsConfig& config)
     return std::max(1, (config.clients_per_vm + per_server - 1) / per_server);
 }
 
-/**
- * Fan the master overload switch out to the per-layer configs. Applied
- * before any subsystem is constructed so clients, deployments, and store
- * shards all see consistent knobs.
- */
-LambdaFsConfig
-apply_overload_control(LambdaFsConfig config)
-{
-    if (!config.overload.enabled) {
-        return config;
-    }
-    const OverloadControlConfig& oc = config.overload;
-    config.client.op_deadline = oc.op_deadline;
-    config.client.decorrelated_jitter = oc.decorrelated_jitter;
-    config.function.max_queue_depth = oc.gateway_queue_depth;
-    config.function.queue_sojourn_limit = oc.gateway_sojourn_limit;
-    config.store.data_node.max_queue_depth = oc.store_queue_depth;
-    config.store.data_node.queue_sojourn_limit = oc.store_sojourn_limit;
-    config.store.data_node.fail_fast_when_down = oc.store_fail_fast;
-    config.store.enable_circuit_breaker = true;
-    config.store.breaker = oc.breaker;
-    return config;
-}
-
 std::unique_ptr<store::Store>
 make_store(sim::Simulation& sim, net::Network& network, sim::Rng rng,
            const LambdaFsConfig& config)
@@ -50,7 +26,8 @@ make_store(sim::Simulation& sim, net::Network& network, sim::Rng rng,
             sim, rng, config.store.num_data_nodes, *config.lsm_store);
     }
     return std::make_unique<store::MetadataStore>(sim, network, rng,
-                                                  config.store);
+                                                  config.store,
+                                                  config.overload);
 }
 
 }  // namespace
@@ -109,7 +86,7 @@ infinicache_config()
 
 LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
     : sim_(sim),
-      config_(apply_overload_control(std::move(config))),
+      config_(std::move(config)),
       rng_(config_.seed),
       network_(sim, rng_.fork(), config_.network),
       store_(make_store(sim, network_, rng_.fork(), config_)),
@@ -127,13 +104,12 @@ LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
     }
     runtime_ = std::make_unique<LfsRuntime>(
         LfsRuntime{sim_, network_, *store_, coordinator_, partitioner_,
-                   tcp_registry_, result_caches_});
-    if (config_.overload.enabled && config_.overload.retry_budget_ratio > 0) {
+                   tcp_registry_, result_caches_, config_.overload});
+    if (config_.overload.enabled) {
         retry_budgets_.reserve(static_cast<size_t>(config_.num_deployments));
         for (int d = 0; d < config_.num_deployments; ++d) {
             retry_budgets_.push_back(std::make_unique<util::RetryBudget>(
-                config_.overload.retry_budget_ratio,
-                config_.overload.retry_budget_burst));
+                util::kRetryBudgetRatio, util::kRetryBudgetBurst));
             util::RetryBudget* budget = retry_budgets_.back().get();
             runtime_->retry_budgets.push_back(budget);
             sim::MetricLabels labels = {{"deployment", std::to_string(d)}};
@@ -179,7 +155,8 @@ LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
             [this](faas::FunctionInstance& instance) {
                 return std::make_unique<NameNode>(*runtime_, instance,
                                                   config_.name_node);
-            });
+            },
+            config_.overload);
         deployment.prewarm(config_.prewarm_per_deployment);
         // A deployment short of its prewarmed instances has no room to
         // ever place one (a fixed pool has no other), so every op hashed

@@ -25,40 +25,10 @@
 #include "src/lsm/lsm_tree.h"
 #include "src/net/network.h"
 #include "src/store/metadata_store.h"
+#include "src/util/overload.h"
 #include "src/workload/dfs_interface.h"
 
 namespace lfs::core {
-
-/**
- * End-to-end overload control (DESIGN.md "Overload control & graceful
- * degradation"). One master switch plus the per-layer knobs it fans out
- * to: client deadlines + retry budgets + decorrelated-jitter backoff,
- * bounded deadline-aware gateway admission queues, bounded store shard
- * queues with fail-fast outages, and per-shard circuit breakers.
- */
-struct OverloadControlConfig {
-    bool enabled = false;
-    /** Relative deadline stamped on every non-subtree op. */
-    sim::SimTime op_deadline = sim::sec(8);
-    /** Gateway admission queue bound per deployment. */
-    int gateway_queue_depth = 256;
-    /** CoDel-style sojourn limit in the gateway queue. */
-    sim::SimTime gateway_sojourn_limit = sim::sec(2);
-    /** Store shard queue bound per transaction class. */
-    int store_queue_depth = 512;
-    /** CoDel-style sojourn limit in store shard queues. */
-    sim::SimTime store_sojourn_limit = sim::msec(500);
-    /** Retry tokens earned per fresh request (0 disables budgets). */
-    double retry_budget_ratio = 0.1;
-    /** Retry token bucket capacity. */
-    double retry_budget_burst = 64.0;
-    /** Decorrelated-jitter backoff instead of exponential. */
-    bool decorrelated_jitter = true;
-    /** Store shards fail fast during outages (feeds the breakers). */
-    bool store_fail_fast = true;
-    /** Per-shard circuit breaker tuning. */
-    util::BreakerConfig breaker;
-};
 
 struct LambdaFsConfig {
     /** System name in metrics and attribution labels. */
@@ -88,8 +58,8 @@ struct LambdaFsConfig {
     int max_clients_per_tcp_server = 64;
     /** Instances pre-provisioned per deployment before the workload. */
     int prewarm_per_deployment = 1;
-    /** Overload control; enabling copies its knobs into the layer configs. */
-    OverloadControlConfig overload;
+    /** Overload control, handed to every layer that sheds. */
+    util::OverloadControlConfig overload;
     uint64_t seed = 42;
 };
 

@@ -10,6 +10,9 @@ namespace lfs::core {
 
 namespace {
 
+/** Max helper NameNodes recruited for one subtree operation. */
+constexpr int kMaxOffloadHelpers = 8;
+
 /** The most recently recycled entry of @p pool, or a fresh one. */
 template <typename T>
 T
@@ -348,7 +351,7 @@ NameNode::handle_subtree(const Op& op)
     if (config_.offload_subtree) {
         int candidates =
             static_cast<int>(rt_.coordinator.total_members()) - 1;
-        helpers = std::clamp(candidates, 1, config_.max_offload_helpers);
+        helpers = std::clamp(candidates, 1, kMaxOffloadHelpers);
     }
     store::SubtreeExecution exec;
     exec.after_lock = [this, &op]() { return run_subtree_coherence(op); };

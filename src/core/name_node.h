@@ -50,8 +50,6 @@ struct NameNodeConfig {
     sim::SimTime subtree_per_row_cpu = sim::usec(8);
     /** Offload subtree batches to helper NameNodes (Appendix D). */
     bool offload_subtree = true;
-    /** Max helper NameNodes recruited for one subtree operation. */
-    int max_offload_helpers = 8;
     /**
      * Retention window of a deployment's resubmission-dedup results, in
      * completions: an unreleased record expires this many completions
@@ -72,6 +70,8 @@ struct LfsRuntime {
     TcpRegistry& tcp_registry;
     /** One retained-result table per deployment (indexed by deployment id). */
     std::vector<std::unique_ptr<ResultCache>>& result_caches;
+    /** Overload control (deadlines and jittered backoff for clients). */
+    util::OverloadControlConfig overload;
 
     /**
      * Per-deployment client retry budgets (empty when overload control is

@@ -12,7 +12,8 @@ FunctionDeployment::FunctionDeployment(sim::Simulation& sim,
                                        ResourcePool& pool, sim::Rng rng,
                                        int id, std::string name,
                                        FunctionConfig config,
-                                       AppFactory factory)
+                                       AppFactory factory,
+                                       util::OverloadControlConfig overload)
     : sim_(sim),
       network_(network),
       pool_(pool),
@@ -21,6 +22,7 @@ FunctionDeployment::FunctionDeployment(sim::Simulation& sim,
       name_(std::move(name)),
       config_(config),
       factory_(std::move(factory)),
+      overload_(overload),
       cold_starts_(
           sim.metrics().counter("faas.cold_starts", {{"deployment", name_}})),
       reclamations_(
@@ -121,8 +123,8 @@ FunctionDeployment::drain_queue()
             wait_queue_.pop_front();
             continue;
         }
-        if (config_.queue_sojourn_limit > 0 &&
-            sim_.now() - head.enqueued > config_.queue_sojourn_limit) {
+        if (overload_.enabled &&
+            sim_.now() - head.enqueued > util::kGatewaySojournLimit) {
             shed_sojourn_.add();
             head.cell->try_set(nullptr);
             wait_queue_.pop_front();
@@ -160,66 +162,44 @@ FunctionDeployment::invoke_via_gateway(Invocation inv)
     }
     // Admission control at the gateway: bound the queue and refuse work
     // that is already past its deadline, paying only the HTTP round trip.
-    if (config_.max_queue_depth > 0 &&
-        wait_queue_.size() >= static_cast<size_t>(config_.max_queue_depth)) {
+    OpResult result;
+    if (overload_.enabled &&
+        wait_queue_.size() >= static_cast<size_t>(util::kGatewayQueueDepth)) {
         shed_queue_full_.add();
         gateway_span.annotate("shed", "queue_full");
-        OpResult shed;
-        shed.status = Status::resource_exhausted("gateway queue full: " +
-                                                 name_);
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kHttpGateway);
-        if (attr) {
-            led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-            shed.ledger = led;
-        }
-        co_return shed;
-    }
-    if (op_expired(inv.op, sim_.now())) {
+        result.status = Status::resource_exhausted("gateway queue full: " +
+                                                   name_);
+    } else if (op_expired(inv.op, sim_.now())) {
         shed_expired_.add();
         gateway_span.annotate("shed", "expired");
-        OpResult shed;
-        shed.status = Status::deadline_exceeded("expired at gateway");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kHttpGateway);
+        result.status = Status::deadline_exceeded("expired at gateway");
+    } else {
+        sim::Span queue_span = sim_.tracer().start_span(
+            "faas", "queue_wait", gateway_span.context());
+        auto cell = sim::make_shared_one_shot<FunctionInstance*>(sim_);
+        sim::SimTime enqueued = sim_.now();
+        wait_queue_.push_back(
+            QueuedInvocation{cell, enqueued, inv.op.deadline});
+        drain_queue();
+        FunctionInstance* inst = co_await cell->wait();
         if (attr) {
-            led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-            shed.ledger = led;
+            led.add(sim::LatSeg::kGatewayQueue, sim_.now() - enqueued);
         }
-        co_return shed;
-    }
-    sim::Span queue_span = sim_.tracer().start_span("faas", "queue_wait",
-                                                    gateway_span.context());
-    auto cell = sim::make_shared_one_shot<FunctionInstance*>(sim_);
-    sim::SimTime enqueued = sim_.now();
-    wait_queue_.push_back(
-        QueuedInvocation{cell, enqueued, inv.op.deadline});
-    drain_queue();
-    FunctionInstance* inst = co_await cell->wait();
-    if (attr) {
-        led.add(sim::LatSeg::kGatewayQueue, sim_.now() - enqueued);
-    }
-    if (inst == nullptr) {
-        // Shed while queued (drain_queue resolved the cell to nullptr).
-        bool expired = op_expired(inv.op, sim_.now());
-        queue_span.annotate("shed", expired ? "expired" : "sojourn");
-        queue_span.end();
-        OpResult shed;
-        shed.status =
-            expired
-                ? Status::deadline_exceeded("expired in gateway queue")
-                : Status::resource_exhausted("shed from gateway queue: " +
-                                             name_);
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kHttpGateway);
-        if (attr) {
-            led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-            shed.ledger = led;
+        if (inst == nullptr) {
+            // Shed while queued (drain_queue resolved the cell to nullptr).
+            bool expired = op_expired(inv.op, sim_.now());
+            queue_span.annotate("shed", expired ? "expired" : "sojourn");
+            queue_span.end();
+            result.status =
+                expired
+                    ? Status::deadline_exceeded("expired in gateway queue")
+                    : Status::resource_exhausted(
+                          "shed from gateway queue: " + name_);
+        } else {
+            queue_span.end();
+            result = co_await inst->serve_http(std::move(inv));
         }
-        co_return shed;
     }
-    queue_span.end();
-    OpResult result = co_await inst->serve_http(std::move(inv));
     t0 = sim_.now();
     co_await network_.transfer(net::LatencyClass::kHttpGateway);
     if (attr) {

@@ -8,7 +8,9 @@
  * Admission is single-path: every gateway invocation enters a FIFO queue
  * and is assigned a reserved HTTP concurrency slot by drain_queue(), which
  * also triggers scale-out (cold start) when all slots are taken and the
- * resource pool permits another instance.
+ * resource pool permits another instance. Under overload control the
+ * queue holds at most util::kGatewayQueueDepth invocations and sheds
+ * work queued longer than util::kGatewaySojournLimit.
  */
 #pragma once
 
@@ -21,6 +23,7 @@
 #include "src/faas/resource_pool.h"
 #include "src/net/network.h"
 #include "src/sim/stats.h"
+#include "src/util/overload.h"
 
 namespace lfs::faas {
 
@@ -29,7 +32,8 @@ class FunctionDeployment {
     FunctionDeployment(sim::Simulation& sim, net::Network& network,
                        ResourcePool& pool, sim::Rng rng, int id,
                        std::string name, FunctionConfig config,
-                       AppFactory factory);
+                       AppFactory factory,
+                       util::OverloadControlConfig overload);
 
     int id() const { return id_; }
     const std::string& name() const { return name_; }
@@ -122,6 +126,7 @@ class FunctionDeployment {
     std::string name_;
     FunctionConfig config_;
     AppFactory factory_;
+    util::OverloadControlConfig overload_;
     int max_instances_ = 0;
     int next_instance_id_ = 0;
     int alive_count_ = 0;

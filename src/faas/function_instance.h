@@ -38,12 +38,6 @@ struct FunctionConfig {
     sim::SimTime cold_start_min = sim::msec(500);
     sim::SimTime cold_start_max = sim::msec(1200);
     sim::SimTime idle_reclaim = sim::sec(60);   ///< idle time before reclaim
-    // Overload control (appended: this struct is brace-initialized
-    // positionally by configs; new fields must keep their defaults last).
-    /** Bound on the deployment's gateway admission queue (0 = unbounded). */
-    int max_queue_depth = 0;
-    /** CoDel-style sojourn bound: shed work queued longer (0 = off). */
-    sim::SimTime queue_sojourn_limit = 0;
 };
 
 /**

@@ -23,12 +23,13 @@ Platform::~Platform()
 
 FunctionDeployment&
 Platform::create_deployment(const std::string& name, FunctionConfig config,
-                            AppFactory factory)
+                            AppFactory factory,
+                            util::OverloadControlConfig overload)
 {
     int id = static_cast<int>(deployments_.size());
     deployments_.push_back(std::make_unique<FunctionDeployment>(
         sim_, network_, pool_, rng_.fork(), id, name, config,
-        std::move(factory)));
+        std::move(factory), overload));
     FunctionDeployment* d = deployments_.back().get();
     sim_.metrics().register_callback_gauge(
         "faas.live_instances", {{"deployment", name}},

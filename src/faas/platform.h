@@ -32,11 +32,12 @@ class Platform {
 
     /**
      * Register a new uniquely named deployment. Deployment ids are dense
-     * (0..n-1) so systems can hash directly onto them.
+     * (0..n-1) so systems can hash directly onto them. @p overload
+     * bounds its gateway admission queue.
      */
-    FunctionDeployment& create_deployment(const std::string& name,
-                                          FunctionConfig config,
-                                          AppFactory factory);
+    FunctionDeployment& create_deployment(
+        const std::string& name, FunctionConfig config, AppFactory factory,
+        util::OverloadControlConfig overload = {});
 
     FunctionDeployment& deployment(int id) { return *deployments_[id]; }
     const FunctionDeployment& deployment(int id) const

@@ -9,6 +9,9 @@ namespace lfs::hopsfs {
 
 namespace {
 
+/** Client-side timeout of one non-subtree NameNode request. */
+constexpr sim::SimTime kRequestTimeout = sim::sec(5);
+
 /** One NameNode round trip over the client's TCP connection. */
 sim::Task<OpResult>
 co_nn_round(net::Network& network, HopsNameNode& nn, Op op)
@@ -120,7 +123,7 @@ HopsClient::execute(Op op)
         // Subtree operations legitimately run for many seconds (Table 3).
         sim::SimTime timeout = is_subtree_op(op.type)
                                    ? sim::sec(1800)
-                                   : fs_.config().request_timeout;
+                                   : kRequestTimeout;
         cell->expire_after(timeout, &client_timeout_result);
         sim::spawn(co_run_into(co_nn_round(fs_.network(), nn, op), cell));
         result = co_await cell->wait();

@@ -36,7 +36,6 @@ struct HopsFsConfig {
     net::NetworkConfig network;
     int num_client_vms = 8;
     int clients_per_vm = 128;
-    sim::SimTime request_timeout = sim::sec(5);
     int max_attempts = 8;
     uint64_t seed = 43;
 };

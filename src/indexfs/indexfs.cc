@@ -13,6 +13,9 @@ namespace lfs::indexfs {
 
 namespace {
 
+/** Leases one client caches before it evicts. */
+constexpr size_t kClientCacheEntries = 4096;
+
 /**
  * One client-server exchange: the request hop, @p served on the server,
  * the reply hop (attributed as client network time).
@@ -184,14 +187,13 @@ IndexFsClient::execute(Op op)
         // expiry. Clearing the whole map here used to throw away
         // every live lease whenever the cap was crossed, turning the
         // hot read path into a miss storm.
-        size_t cap = static_cast<size_t>(fs_.config().client_cache_entries);
-        if (leases_.size() > cap) {
+        if (leases_.size() > kClientCacheEntries) {
             sim::SimTime now = sim.now();
             for (auto it = leases_.begin(); it != leases_.end();) {
                 it = it->second.expires <= now ? leases_.erase(it)
                                                : std::next(it);
             }
-            while (leases_.size() > cap) {
+            while (leases_.size() > kClientCacheEntries) {
                 auto victim = leases_.begin();
                 for (auto it = std::next(leases_.begin());
                      it != leases_.end(); ++it) {

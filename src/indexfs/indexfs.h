@@ -39,8 +39,7 @@ struct IndexFsConfig {
     int server_concurrency = 2;
     sim::SimTime server_cpu = sim::usec(100);
     lsm::LsmConfig lsm;
-    /** Client lease cache: entries and lease duration. */
-    int client_cache_entries = 4096;
+    /** Client lease duration. */
     sim::SimTime lease_ttl = sim::msec(1000);
     sim::SimTime client_local_op = sim::usec(30);
     net::NetworkConfig network;

@@ -160,8 +160,7 @@ struct OpResult {
      * Latency attribution ledger (DESIGN.md §11). Rides by value so a
      * late-finishing duplicate attempt (discarded by the client's
      * first-wins cell) can never stamp into a dead op. Empty unless
-     * Simulation::attribution() is on; compiled out with
-     * -DLFS_NO_ATTRIBUTION.
+     * Simulation::attribution() is on.
      */
     sim::LatencyLedger ledger;
     /** Trace id of the op's root span (0 = untraced). */

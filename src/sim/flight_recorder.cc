@@ -7,6 +7,13 @@
 
 namespace lfs::sim {
 
+namespace {
+
+/** Total exemplars kept across windows (oldest dropped first). */
+constexpr size_t kMaxExemplars = 256;
+
+}  // namespace
+
 void
 FlightRecorder::observe(SimTime now, const char* op, const std::string& path,
                         const std::string& system, SimTime latency, bool ok,
@@ -65,11 +72,10 @@ FlightRecorder::roll()
         archive_.push_back(std::move(ex));
     }
     window_.clear();
-    if (archive_.size() > config_.max_exemplars) {
+    if (archive_.size() > kMaxExemplars) {
         archive_.erase(archive_.begin(),
-                       archive_.begin() +
-                           static_cast<ptrdiff_t>(archive_.size() -
-                                                  config_.max_exemplars));
+                       archive_.begin() + static_cast<ptrdiff_t>(
+                                              archive_.size() - kMaxExemplars));
     }
 }
 

@@ -57,8 +57,6 @@ struct FlightRecorderConfig {
     int worst_k = 16;
     /** Window length (sim time). */
     SimTime window = sec(30);
-    /** Total exemplars kept across windows (oldest dropped first). */
-    size_t max_exemplars = 256;
 };
 
 class FlightRecorder {

@@ -13,9 +13,6 @@
  *
  * Attribution is off by default (Simulation::attribution()); stamping
  * sites guard on that flag so the disabled cost is one branch per site.
- * Building with -DLFS_NO_ATTRIBUTION compiles the ledger out entirely:
- * the struct is empty and every method is a constexpr no-op, so the
- * stamping code folds away.
  *
  * Recording only reads Simulation::now() and never schedules events, so
  * enabling attribution cannot change simulated results.
@@ -94,8 +91,6 @@ lat_seg_name(LatSeg seg)
     return "?";
 }
 
-#ifndef LFS_NO_ATTRIBUTION
-
 /**
  * The per-op segment accumulator. Plain fixed array, no allocation; it
  * rides by value inside OpResult so late-finishing duplicate attempts
@@ -157,21 +152,5 @@ class LatencyLedger {
   private:
     std::array<SimTime, kLatSegCount> us_{};
 };
-
-#else  // LFS_NO_ATTRIBUTION
-
-/** Compiled-out ledger: empty struct, every method a constexpr no-op. */
-class LatencyLedger {
-  public:
-    constexpr void add(LatSeg, SimTime) {}
-    constexpr SimTime get(LatSeg) const { return 0; }
-    constexpr SimTime total() const { return 0; }
-    constexpr bool empty() const { return true; }
-    constexpr void merge(const LatencyLedger&) {}
-    constexpr void finalize(SimTime) {}
-    constexpr void clear() {}
-};
-
-#endif  // LFS_NO_ATTRIBUTION
 
 }  // namespace lfs::sim

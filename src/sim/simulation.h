@@ -81,16 +81,10 @@ class Simulation {
     /**
      * Latency attribution (DESIGN.md §11): when on, layers stamp per-op
      * segment durations into OpResult::ledger. Off by default; each
-     * stamping site costs one branch. Compiled out (constant false, dead
-     * branches fold away) when built with -DLFS_NO_ATTRIBUTION.
+     * stamping site costs one branch.
      */
-#ifndef LFS_NO_ATTRIBUTION
     bool attribution() const { return attribution_; }
     void set_attribution(bool on) { attribution_ = on; }
-#else
-    constexpr bool attribution() const { return false; }
-    void set_attribution(bool) {}
-#endif
 
     /** Tail-exemplar flight recorder (disabled by default). */
     FlightRecorder& flight_recorder() { return flight_recorder_; }

@@ -19,10 +19,11 @@ shed_counter(sim::Simulation& sim, int shard_id, const char* reason)
 }  // namespace
 
 DataNode::DataNode(sim::Simulation& sim, sim::Rng rng, DataNodeConfig config,
-                   int shard_id)
+                   util::OverloadControlConfig overload, int shard_id)
     : sim_(sim),
       rng_(rng),
       config_(config),
+      overload_(overload),
       shard_id_(shard_id),
       read_slots_(sim, config.concurrency),
       write_slots_(sim, config.concurrency),
@@ -56,7 +57,7 @@ DataNode::admit_and_serve(sim::Semaphore& slots, sim::SimTime base_service,
     sim::SimTime entry = sim_.now();
     sim::FaultPlan* plan = sim_.fault_plan();
     if (plan != nullptr && plan->store_shard_down(shard_id_)) {
-        if (config_.fail_fast_when_down) {
+        if (overload_.enabled) {
             // Fail fast so the caller's circuit breaker can open instead
             // of the outage tying up NameNode concurrency slots.
             shed_fail_fast_.add();
@@ -72,8 +73,8 @@ DataNode::admit_and_serve(sim::Semaphore& slots, sim::SimTime base_service,
         shed_expired_.add();
         co_return Status::deadline_exceeded("expired at store admission");
     }
-    if (config_.max_queue_depth > 0 &&
-        slots.waiting() >= static_cast<size_t>(config_.max_queue_depth)) {
+    if (overload_.enabled &&
+        slots.waiting() >= static_cast<size_t>(overload_.store_queue_depth)) {
         shed_queue_full_.add();
         co_return Status::resource_exhausted("store shard queue full");
     }
@@ -88,8 +89,7 @@ DataNode::admit_and_serve(sim::Semaphore& slots, sim::SimTime base_service,
         shed_expired_.add();
         co_return Status::deadline_exceeded("expired in store queue");
     }
-    if (config_.queue_sojourn_limit > 0 &&
-        sojourn > config_.queue_sojourn_limit) {
+    if (overload_.enabled && sojourn > overload_.store_sojourn_limit) {
         shed_sojourn_.add();
         co_return Status::resource_exhausted("store queue sojourn overrun");
     }

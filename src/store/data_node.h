@@ -5,13 +5,13 @@
  * the store's read/write capacity. Queueing delay under load is what caps
  * HopsFS throughput in the paper's experiments.
  *
- * Overload control (all knobs off by default): admission is bounded
- * (max_queue_depth), deadline-aware (an op whose remaining budget cannot
+ * Admission is always deadline-aware: an op whose remaining budget cannot
  * cover even the minimum service time is rejected, and one that expires
- * while queued is shed when it reaches the head), and CoDel-style (work
- * that waited longer than queue_sojourn_limit is shed at dequeue). During
- * a FaultPlan outage a shard can fail fast instead of stalling admissions
- * (fail_fast_when_down); a FaultPlan brownout multiplies service times.
+ * while queued is shed when it reaches the head. Under overload control
+ * admission is also bounded (store_queue_depth per class) and CoDel-style
+ * (work that waited longer than store_sojourn_limit is shed at dequeue),
+ * and during a FaultPlan outage the shard fails fast instead of stalling
+ * admissions. A FaultPlan brownout multiplies service times.
  */
 #pragma once
 
@@ -23,6 +23,7 @@
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
+#include "src/util/overload.h"
 #include "src/util/status.h"
 
 namespace lfs::store {
@@ -43,19 +44,13 @@ struct DataNodeConfig {
     sim::SimTime write_service_max = sim::usec(4800);
     /** Extra service per additional path component in a batched resolve. */
     sim::SimTime per_component_cost = sim::usec(35);
-    /** Bound on queued transactions per class (0 = unbounded). */
-    int max_queue_depth = 0;
-    /** CoDel-style sojourn bound: shed work that queued longer (0 = off). */
-    sim::SimTime queue_sojourn_limit = 0;
-    /** Fail admissions fast during an outage instead of stalling them. */
-    bool fail_fast_when_down = false;
 };
 
 class DataNode {
   public:
     /** @p shard_id identifies this shard to the FaultPlan outage hooks. */
     DataNode(sim::Simulation& sim, sim::Rng rng, DataNodeConfig config,
-             int shard_id = 0);
+             util::OverloadControlConfig overload = {}, int shard_id = 0);
 
     /**
      * Execute one read transaction that touches @p components inode rows
@@ -116,6 +111,7 @@ class DataNode {
     sim::Simulation& sim_;
     sim::Rng rng_;
     DataNodeConfig config_;
+    util::OverloadControlConfig overload_;
     int shard_id_;
     sim::Semaphore read_slots_;
     sim::Semaphore write_slots_;

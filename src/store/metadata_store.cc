@@ -9,14 +9,22 @@
 
 namespace lfs::store {
 
+namespace {
+
+/** Delay between retries when a transaction meets a subtree lock. */
+constexpr sim::SimTime kSubtreeRetryDelay = sim::msec(20);
+
+}  // namespace
+
 MetadataStore::MetadataStore(sim::Simulation& sim, net::Network& network,
-                             sim::Rng rng, StoreConfig config)
+                             sim::Rng rng, StoreConfig config,
+                             util::OverloadControlConfig overload)
     : sim_(sim), network_(network), config_(config), locks_(sim)
 {
     shards_.reserve(static_cast<size_t>(config_.num_data_nodes));
     for (int i = 0; i < config_.num_data_nodes; ++i) {
         shards_.push_back(std::make_unique<DataNode>(
-            sim, rng.fork(), config_.data_node, /*shard_id=*/i));
+            sim, rng.fork(), config_.data_node, overload, /*shard_id=*/i));
         DataNode* shard = shards_.back().get();
         sim_.metrics().register_callback_gauge(
             "store.queue_depth", {{"shard", std::to_string(i)}},
@@ -73,11 +81,11 @@ MetadataStore::MetadataStore(sim::Simulation& sim, net::Network& network,
                                                 {{"reason", "expired"}});
     rejected_breaker_ = &sim_.metrics().counter("overload.store_rejected",
                                                 {{"reason", "breaker_open"}});
-    if (config_.enable_circuit_breaker) {
+    if (overload.enabled) {
         breakers_.reserve(shards_.size());
         for (int i = 0; i < config_.num_data_nodes; ++i) {
             breakers_.push_back(
-                std::make_unique<util::CircuitBreaker>(config_.breaker));
+                std::make_unique<util::CircuitBreaker>(util::BreakerConfig{}));
             util::CircuitBreaker* breaker = breakers_.back().get();
             sim_.metrics().register_callback_gauge(
                 "overload.breaker_state", {{"shard", std::to_string(i)}},
@@ -114,15 +122,18 @@ MetadataStore::shard_for(const std::string& parent_path)
 }
 
 Status
-MetadataStore::breaker_admit(size_t idx)
+MetadataStore::admit(size_t idx, const Op& op, sim::Span& txn_span)
 {
-    if (breakers_.empty()) {
-        return Status::make_ok();
-    }
-    if (!breakers_[idx]->allow(sim_.now())) {
+    if (!breakers_.empty() && !breakers_[idx]->allow(sim_.now())) {
         rejected_breaker_->add();
+        txn_span.annotate("shed", "breaker_open");
         return Status::unavailable("store breaker open: shard " +
                                    std::to_string(idx));
+    }
+    if (op_expired(op, sim_.now())) {
+        rejected_expired_->add();
+        txn_span.annotate("shed", "expired");
+        return Status::deadline_exceeded("expired at store entry");
     }
     return Status::make_ok();
 }
@@ -237,95 +248,74 @@ MetadataStore::read_op(const Op& op)
     }
     OpResult result;
     size_t shard_idx = shard_index_of_parent(op.path);
-    // Admission checks before any lock or coherence work: a tripped
-    // breaker or an already-expired deadline fails fast, paying only the
-    // network round trip.
-    result.status = breaker_admit(shard_idx);
-    if (!result.status.ok()) {
-        txn_span.annotate("shed", "breaker_open");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            result.ledger = led;
-        }
-        co_return result;
-    }
-    if (op_expired(op, sim_.now())) {
-        rejected_expired_->add();
-        txn_span.annotate("shed", "expired");
-        result.status = Status::deadline_exceeded("expired at store entry");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            result.ledger = led;
-        }
-        co_return result;
-    }
-    uint64_t faults_before = tree_.pageins();
-    while (true) {
-        // One lock_wait span per retry round; move-assign ends the
-        // previous round's span.
-        sim::Span lock_span = sim_.tracer().start_span("store", "lock_wait",
-                                                       txn_span.context());
-        sim::SimTime lock_start = sim_.now();
-        // While a subtree operation is in flight over this path, reads
-        // block behind it (the subtree flag acts as an intention lock).
-        while (locks_.overlaps_active_subtree(op.path)) {
-            co_await sim::delay(sim_, config_.subtree_retry_delay);
-        }
-        // Shared row locks on target + parent serialize the read against
-        // concurrent writers, so a reader can never cache a value that a
-        // lock-holding writer is about to overwrite.
-        const LockSet lock_ids = read_lock_set(op.path);
-        for (ns::INodeId id : lock_ids) {
-            co_await locks_.lock_shared(id);
-        }
-        lock_span.end();
-        if (attr) {
-            led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
-        }
-        Status st;
-        if (op.type == OpType::kStatFs) {
-            // statfs collects one aggregate row from every shard — it
-            // pays a per-shard read, not an O(inodes) scan.
-            st = Status::make_ok();
-            for (auto& shard : shards_) {
-                st = co_await shard->execute_read(1, op.deadline,
-                                                  attr ? &led : nullptr);
-                if (!st.ok()) {
-                    break;
-                }
+    result.status = admit(shard_idx, op, txn_span);
+    if (result.status.ok()) {
+        uint64_t faults_before = tree_.pageins();
+        while (true) {
+            // One lock_wait span per retry round; move-assign ends the
+            // previous round's span.
+            sim::Span lock_span = sim_.tracer().start_span(
+                "store", "lock_wait", txn_span.context());
+            sim::SimTime lock_start = sim_.now();
+            // While a subtree operation is in flight over this path, reads
+            // block behind it (the subtree flag acts as an intention lock).
+            while (locks_.overlaps_active_subtree(op.path)) {
+                co_await sim::delay(sim_, kSubtreeRetryDelay);
             }
-        } else {
-            DataNode& shard = *shards_[shard_idx];
-            st = co_await shard.execute_read(path::depth(op.path) + 1,
-                                             op.deadline,
-                                             attr ? &led : nullptr);
-        }
-        breaker_record(shard_idx, st);
-        if (!st.ok()) {
+            // Shared row locks on target + parent serialize the read
+            // against concurrent writers, so a reader can never cache a
+            // value that a lock-holding writer is about to overwrite.
+            const LockSet lock_ids = read_lock_set(op.path);
+            for (ns::INodeId id : lock_ids) {
+                co_await locks_.lock_shared(id);
+            }
+            lock_span.end();
+            if (attr) {
+                led.add(sim::LatSeg::kStoreLockWait,
+                        sim_.now() - lock_start);
+            }
+            Status st;
+            if (op.type == OpType::kStatFs) {
+                // statfs collects one aggregate row from every shard — it
+                // pays a per-shard read, not an O(inodes) scan.
+                st = Status::make_ok();
+                for (auto& shard : shards_) {
+                    st = co_await shard->execute_read(
+                        1, op.deadline, attr ? &led : nullptr);
+                    if (!st.ok()) {
+                        break;
+                    }
+                }
+            } else {
+                DataNode& shard = *shards_[shard_idx];
+                st = co_await shard.execute_read(path::depth(op.path) + 1,
+                                                 op.deadline,
+                                                 attr ? &led : nullptr);
+            }
+            breaker_record(shard_idx, st);
+            if (!st.ok()) {
+                for (ns::INodeId id : lock_ids) {
+                    locks_.unlock_shared(id);
+                }
+                txn_span.annotate("shed", code_name(st.code()));
+                result.status = st;
+                break;
+            }
+            result = ns::apply(tree_, op, sim_.now());
             for (ns::INodeId id : lock_ids) {
                 locks_.unlock_shared(id);
             }
-            txn_span.annotate("shed", code_name(st.code()));
-            result.status = st;
-            break;
+            // A subtree operation may have flagged this path while the
+            // read was in flight (its quiesce phase drains readers like
+            // us). The result would be cached *after* the subtree INV
+            // round cleared the caches — stale forever — so retry behind
+            // the flag instead.
+            if (!locks_.overlaps_active_subtree(op.path)) {
+                break;
+            }
         }
-        result = ns::apply(tree_, op, sim_.now());
-        for (ns::INodeId id : lock_ids) {
-            locks_.unlock_shared(id);
-        }
-        // A subtree operation may have flagged this path while the read
-        // was in flight (its quiesce phase drains readers like us). The
-        // result would be cached *after* the subtree INV round cleared
-        // the caches — stale forever — so retry behind the flag instead.
-        if (!locks_.overlaps_active_subtree(op.path)) {
-            break;
-        }
+        co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
     }
-    co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
     t0 = sim_.now();
     co_await network_.transfer(net::LatencyClass::kStore);
     if (attr) {
@@ -347,85 +337,56 @@ MetadataStore::write_op(const Op& op, LockedHook after_lock)
     if (attr) {
         led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
     }
+    OpResult result;
     size_t shard_idx = shard_index_of_parent(op.path);
-    // Admission checks before waiting on subtree flags, acquiring row
-    // locks, or running the coherence round — doomed work sheds here.
-    Status admit = breaker_admit(shard_idx);
-    if (!admit.ok()) {
-        txn_span.annotate("shed", "breaker_open");
-        OpResult shed;
-        shed.status = admit;
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            shed.ledger = led;
+    // Admission runs before waiting on subtree flags, acquiring row locks,
+    // or running the coherence round — doomed work sheds here.
+    result.status = admit(shard_idx, op, txn_span);
+    if (result.status.ok()) {
+        uint64_t faults_before = tree_.pageins();
+        sim::Span lock_span = sim_.tracer().start_span("store", "lock_wait",
+                                                       txn_span.context());
+        sim::SimTime lock_start = sim_.now();
+        while (locks_.overlaps_active_subtree(op.path) ||
+               (has_dst_path(op.type) &&
+                locks_.overlaps_active_subtree(op.dst))) {
+            co_await sim::delay(sim_, kSubtreeRetryDelay);
         }
-        co_return shed;
-    }
-    if (op_expired(op, sim_.now())) {
-        rejected_expired_->add();
-        txn_span.annotate("shed", "expired");
-        OpResult shed;
-        shed.status = Status::deadline_exceeded("expired at store entry");
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            shed.ledger = led;
+        const LockSet lock_ids = write_lock_set(op);
+        for (ns::INodeId id : lock_ids) {
+            co_await locks_.lock_exclusive(id);  // ascending: the lock order
         }
-        co_return shed;
-    }
-    uint64_t faults_before = tree_.pageins();
-    sim::Span lock_span =
-        sim_.tracer().start_span("store", "lock_wait", txn_span.context());
-    sim::SimTime lock_start = sim_.now();
-    while (locks_.overlaps_active_subtree(op.path) ||
-           (has_dst_path(op.type) &&
-            locks_.overlaps_active_subtree(op.dst))) {
-        co_await sim::delay(sim_, config_.subtree_retry_delay);
-    }
-    const LockSet lock_ids = write_lock_set(op);
-    for (ns::INodeId id : lock_ids) {
-        co_await locks_.lock_exclusive(id);  // ascending: the lock order
-    }
-    lock_span.end();
-    if (attr) {
-        led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
-    }
-    if (after_lock) {
-        // The coherence INV/ACK round is attributed here — around the
-        // hook await, never inside the coordinator — so it is stamped
-        // exactly once per write.
-        sim::SimTime coh_start = sim_.now();
-        co_await after_lock();
+        lock_span.end();
         if (attr) {
-            led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
+            led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
         }
-    }
-    DataNode& shard = *shards_[shard_idx];
-    Status st = co_await shard.execute_write(
-        static_cast<int>(lock_ids.size()), op.deadline,
-        attr ? &led : nullptr);
-    breaker_record(shard_idx, st);
-    if (!st.ok()) {
+        if (after_lock) {
+            // The coherence INV/ACK round is attributed here — around the
+            // hook await, never inside the coordinator — so it is stamped
+            // exactly once per write.
+            sim::SimTime coh_start = sim_.now();
+            co_await after_lock();
+            if (attr) {
+                led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
+            }
+        }
+        DataNode& shard = *shards_[shard_idx];
+        Status st = co_await shard.execute_write(
+            static_cast<int>(lock_ids.size()), op.deadline,
+            attr ? &led : nullptr);
+        breaker_record(shard_idx, st);
+        if (st.ok()) {
+            result = ns::apply(tree_, op, sim_.now());
+            // Faults are charged while the row locks are held: a
+            // sub-resident namespace pays its page-ins inside the
+            // transaction window.
+            co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
+        } else {
+            txn_span.annotate("shed", code_name(st.code()));
+            result.status = st;
+        }
         unlock_exclusive(lock_ids);
-        txn_span.annotate("shed", code_name(st.code()));
-        OpResult shed;
-        shed.status = st;
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            shed.ledger = led;
-        }
-        co_return shed;
     }
-    OpResult result = ns::apply(tree_, op, sim_.now());
-    // Faults are charged while the row locks are held: a sub-resident
-    // namespace pays its page-ins inside the transaction window.
-    co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
-    unlock_exclusive(lock_ids);
     t0 = sim_.now();
     co_await network_.transfer(net::LatencyClass::kStore);
     if (attr) {
@@ -495,7 +456,7 @@ MetadataStore::subtree_op(Op op, SubtreeExecution exec)
         if (st.ok()) {
             break;
         }
-        co_await sim::delay(sim_, config_.subtree_retry_delay);
+        co_await sim::delay(sim_, kSubtreeRetryDelay);
     }
     lock_span.end();
     if (attr) {

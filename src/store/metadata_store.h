@@ -38,8 +38,6 @@ struct StoreConfig {
     sim::SimTime subtree_row_write_cost = sim::usec(14);
     /** Rows per subtree batch transaction. */
     int subtree_batch_size = 512;
-    /** Delay between retries when a subtree lock conflicts. */
-    sim::SimTime subtree_retry_delay = sim::msec(20);
     /**
      * Simulated cost of one namespace cold-tier page-in (DESIGN.md §15):
      * charged per fault a transaction incurs, modelling the intermediate
@@ -47,20 +45,20 @@ struct StoreConfig {
      * faults (budget unset) charge nothing.
      */
     sim::SimTime fault_page_cost = sim::usec(250);
-    /**
-     * Per-shard circuit breakers: a rolling error window trips the shard
-     * open, failing store transactions fast with UNAVAILABLE instead of
-     * queueing them behind a struggling shard; half-open probes re-close
-     * it once the shard recovers.
-     */
-    bool enable_circuit_breaker = false;
-    util::BreakerConfig breaker;
 };
 
 class MetadataStore final : public Store {
   public:
+    /**
+     * Under @p overload control every shard's queues are bounded and fail
+     * fast during outages, and a per-shard circuit breaker (rolling error
+     * window, BreakerConfig{} tuning) fails transactions fast with
+     * UNAVAILABLE instead of queueing them behind a struggling shard;
+     * half-open probes re-close it once the shard recovers.
+     */
     MetadataStore(sim::Simulation& sim, net::Network& network, sim::Rng rng,
-                  StoreConfig config = {});
+                  StoreConfig config = {},
+                  util::OverloadControlConfig overload = {});
     ~MetadataStore() override;
 
     ns::NamespaceTree& tree() override { return tree_; }
@@ -140,11 +138,13 @@ class MetadataStore final : public Store {
     DataNode& shard_for(const std::string& parent_path);
 
     /**
-     * Consult shard @p idx's circuit breaker (no-op Ok when disabled).
-     * Returns UNAVAILABLE without touching the shard while the breaker
-     * is open and not yet probing.
+     * Admission of @p op on shard @p idx, before any lock or coherence
+     * work: UNAVAILABLE while the shard's circuit breaker is open and not
+     * yet probing, DEADLINE_EXCEEDED once the op's deadline has passed,
+     * else Ok. A refusal is annotated on @p txn_span and costs the caller
+     * only the network round trip.
      */
-    Status breaker_admit(size_t idx);
+    Status admit(size_t idx, const Op& op, sim::Span& txn_span);
 
     /** Report one shard transaction outcome to its breaker. */
     void breaker_record(size_t idx, const Status& st);
@@ -192,7 +192,7 @@ class MetadataStore final : public Store {
     ns::NamespaceTree tree_;
     LockTable locks_;
     std::vector<std::unique_ptr<DataNode>> shards_;
-    /** Per-shard breakers; empty when enable_circuit_breaker is off. */
+    /** Per-shard breakers; empty when overload control is off. */
     std::vector<std::unique_ptr<util::CircuitBreaker>> breakers_;
     // Registry-owned overload counters ({reason} labels).
     sim::Counter* rejected_expired_ = nullptr;

@@ -1,8 +1,13 @@
 /**
  * @file
- * Overload-control building blocks shared across layers (DESIGN.md
- * "Overload control & graceful degradation"):
+ * Overload control (DESIGN.md §9, "Overload control & graceful
+ * degradation"): the one switch every shedding layer reads, and the
+ * building blocks those layers share:
  *
+ *  - OverloadControlConfig: the switch plus the few values a run tunes.
+ *    LambdaFs hands the same struct to its clients (through LfsRuntime),
+ *    its function deployments, its store and the store's shards; the
+ *    values no run tunes are the named constants beside it.
  *  - RetryBudget: a token-bucket that caps client retries at a fixed
  *    fraction of fresh traffic, breaking the retry-amplification feedback
  *    loop of a metastable failure.
@@ -11,9 +16,9 @@
  *    backend (a store shard in brownout or outage) instead of tying up
  *    concurrency slots on doomed work.
  *
- * Both are driven entirely by sim time passed in by the caller — no clock
- * or RNG access — so they are deterministic and layer-agnostic (core and
- * store both use them without dependency cycles).
+ * All are driven entirely by sim time passed in by the caller — no clock
+ * or RNG access — so they are deterministic and layer-agnostic (core,
+ * faas and store all use them without dependency cycles).
  */
 #pragma once
 
@@ -24,6 +29,32 @@
 #include "src/sim/time.h"
 
 namespace lfs::util {
+
+/**
+ * End-to-end overload control, off by default. Enabled, it turns on
+ * every layer at once: client deadlines, retry budgets and
+ * decorrelated-jitter backoff; bounded, deadline-aware gateway admission
+ * queues; bounded store shard queues that fail fast during outages; and
+ * per-shard circuit breakers (tuned by BreakerConfig{} defaults).
+ */
+struct OverloadControlConfig {
+    bool enabled = false;
+    /** Relative deadline stamped on every non-subtree op. */
+    sim::SimTime op_deadline = sim::sec(8);
+    /** CoDel-style sojourn limit in store shard queues. */
+    sim::SimTime store_sojourn_limit = sim::msec(500);
+    /** Store shard queue bound per transaction class. */
+    int store_queue_depth = 512;
+};
+
+/** Gateway admission queue bound per deployment. */
+inline constexpr int kGatewayQueueDepth = 256;
+/** CoDel-style sojourn limit in a deployment's gateway queue. */
+inline constexpr sim::SimTime kGatewaySojournLimit = sim::sec(2);
+/** Retry tokens a deployment's budget earns per fresh request. */
+inline constexpr double kRetryBudgetRatio = 0.1;
+/** Retry token bucket capacity. */
+inline constexpr double kRetryBudgetBurst = 64.0;
 
 /**
  * Token-bucket retry budget. Every fresh (first-attempt) request accrues

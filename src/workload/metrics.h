@@ -104,7 +104,6 @@ class SystemMetrics {
     void
     record_attribution(const sim::LatencyLedger& ledger, sim::SimTime total)
     {
-#ifndef LFS_NO_ATTRIBUTION
         if (attr_total_ == nullptr) {
             attr_total_ =
                 &registry_->histogram("attr.total", {{"system", label_}});
@@ -123,10 +122,6 @@ class SystemMetrics {
                 attr_segment_[i]->record(v);
             }
         }
-#else
-        (void)ledger;
-        (void)total;
-#endif
     }
 
     /** Per-segment attribution histogram, or nullptr before any record. */

@@ -9,6 +9,9 @@ namespace lfs::workload {
 
 namespace {
 
+/** Hard wall for one run (guards runaway configurations). */
+constexpr sim::SimTime kTimeLimit = sim::sec(3600);
+
 struct RunState {
     RunState(sim::Simulation& sim, ns::BuiltTree tree, sim::Rng rng)
         : population(std::move(tree), rng), done(sim)
@@ -114,7 +117,7 @@ run_microbench(sim::Simulation& sim, Dfs& dfs, ns::BuiltTree tree,
         sim::spawn(
             co_client(sim, dfs, c, config.op, config.ops_per_client, state));
     }
-    sim::SimTime deadline = begin + config.time_limit;
+    sim::SimTime deadline = begin + kTimeLimit;
     while (state.done.count() > 0 && sim.now() < deadline) {
         if (!sim.step()) {
             break;

@@ -24,8 +24,6 @@ struct MicrobenchConfig {
     int warmup_clients = 0;
     /** Simulated warmup before measurement starts. */
     sim::SimTime warmup = sim::sec(4);
-    /** Hard wall for one run (guards runaway configurations). */
-    sim::SimTime time_limit = sim::sec(3600);
     uint64_t seed = 11;
 };
 

@@ -9,6 +9,11 @@ namespace lfs::workload {
 
 namespace {
 
+/** Pareto shape of the epoch rates (the paper's own alpha, §5.2.1). */
+constexpr double kParetoAlpha = 2.0;
+/** Where in the run the forced peak epoch starts (t = 200 of 300 s). */
+constexpr double kForcePeakAtFraction = 0.66;
+
 /** User-level outcomes still count as completed round trips. */
 bool
 counts_as_completed(const Status& status)
@@ -71,7 +76,7 @@ SpotifyWorkload::scheduler()
     sim::SimTime forced_burst_epoch =
         config_.force_peak_burst
             ? start + static_cast<sim::SimTime>(
-                          config_.force_peak_at_fraction *
+                          kForcePeakAtFraction *
                           static_cast<double>(config_.duration))
             : sim::kNever;
     while (sim_.now() < end) {
@@ -84,7 +89,7 @@ SpotifyWorkload::scheduler()
                           sim_.now() < forced_burst_epoch + config_.epoch;
             current_rate_ =
                 forced ? config_.burst_cap * config_.base_throughput
-                       : rng_.pareto(config_.pareto_alpha,
+                       : rng_.pareto(kParetoAlpha,
                                      config_.base_throughput,
                                      config_.burst_cap *
                                          config_.base_throughput);

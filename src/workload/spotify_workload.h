@@ -26,7 +26,6 @@ namespace lfs::workload {
 struct SpotifyConfig {
     /** Pareto scale x_t: the workload's base throughput (ops/sec). */
     double base_throughput = 25000.0;
-    double pareto_alpha = 2.0;
     /** Spikes capped at this multiple of the base (§5.2.1). */
     double burst_cap = 7.0;
     /**
@@ -34,7 +33,6 @@ struct SpotifyConfig {
      * 163,996-ops/sec spike at t = 200 of the 25k workload).
      */
     bool force_peak_burst = true;
-    double force_peak_at_fraction = 0.66;
     sim::SimTime epoch = sim::sec(15);
     sim::SimTime duration = sim::sec(300);
     int num_client_vms = 8;

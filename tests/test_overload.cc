@@ -7,6 +7,8 @@
  *    RetryBudget and the rolling-window CircuitBreaker state machine,
  *  - DataNode admission shedding: deadline-aware rejection, bounded
  *    queues, CoDel-style sojourn overruns, and fail-fast outages,
+ *  - gateway admission shedding: the bounded queue and the sojourn
+ *    bound, and neither with overload control off,
  *  - a closed-loop consistency check: a store outage + brownout under
  *    full overload control must shed work *without* ever violating the
  *    consistency oracle (shed ops are rejected before execution, and
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "src/core/lambda_fs.h"
+#include "src/faas/platform.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/fault.h"
 #include "src/sim/random.h"
@@ -199,8 +202,10 @@ TEST(DataNodeOverload, BoundedQueueShedsExcess)
     config.concurrency = 1;
     config.read_service_min = sim::msec(1);
     config.read_service_max = sim::msec(1);
-    config.max_queue_depth = 2;
-    store::DataNode node(sim, sim::Rng(1), config);
+    util::OverloadControlConfig overload;
+    overload.enabled = true;
+    overload.store_queue_depth = 2;
+    store::DataNode node(sim, sim::Rng(1), config, overload);
     std::vector<Status> results(5);
     for (auto& st : results) {
         sim::spawn(co_read_status(node, -1, st));
@@ -229,8 +234,10 @@ TEST(DataNodeOverload, SojournOverrunShedsAtDequeue)
     config.concurrency = 1;
     config.read_service_min = sim::msec(4);
     config.read_service_max = sim::msec(4);
-    config.queue_sojourn_limit = sim::msec(2);
-    store::DataNode node(sim, sim::Rng(1), config);
+    util::OverloadControlConfig overload;
+    overload.enabled = true;
+    overload.store_sojourn_limit = sim::msec(2);
+    store::DataNode node(sim, sim::Rng(1), config, overload);
     std::vector<Status> results(3);
     for (auto& st : results) {
         sim::spawn(co_read_status(node, -1, st));
@@ -277,15 +284,144 @@ TEST(DataNodeOverload, FailsFastDuringOutage)
     w.from = 0;
     w.until = sim::msec(10);
     plan.add_store_outage(w);
-    store::DataNodeConfig config;
-    config.fail_fast_when_down = true;
-    store::DataNode node(sim, sim::Rng(1), config);
+    util::OverloadControlConfig overload;
+    overload.enabled = true;
+    store::DataNode node(sim, sim::Rng(1), store::DataNodeConfig{}, overload);
     Status st;
     sim::spawn(co_read_status(node, -1, st));
     sim.run_until(sim::msec(5));
     EXPECT_EQ(st.code(), Code::kUnavailable);
     EXPECT_EQ(node.reads_served(), 0u);
     EXPECT_EQ(node.shed_total(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Gateway admission bounds
+// ---------------------------------------------------------------------
+
+/** Test app: every request waits until the test sets the gate. */
+class GatedApp : public faas::FunctionApp {
+  public:
+    explicit GatedApp(sim::Gate& gate) : gate_(gate) {}
+
+    Task<OpResult>
+    handle(faas::Invocation) override
+    {
+        co_await gate_.wait();
+        OpResult result;
+        result.status = Status::make_ok();
+        co_return result;
+    }
+
+  private:
+    sim::Gate& gate_;
+};
+
+Task<void>
+co_gateway_invoke(faas::FunctionDeployment& deployment, OpResult& out)
+{
+    faas::Invocation inv;
+    inv.op.type = OpType::kStat;
+    inv.op.path = "/f";
+    out = co_await deployment.invoke_via_gateway(std::move(inv));
+}
+
+struct GatewayRun {
+    /** Refused with RESOURCE_EXHAUSTED before the gate opened. */
+    int refused_while_held = 0;
+    /** Queue length while the single slot was held. */
+    size_t queued_while_held = 0;
+    int ok = 0;
+    int resource_exhausted = 0;
+    uint64_t shed = 0;
+};
+
+/**
+ * One deployment with a single instance and a single HTTP slot: a holder
+ * invocation takes the slot and blocks on a gate, @p queued more arrive
+ * behind it, and the gate opens at @p open_at.
+ */
+GatewayRun
+run_held_gateway(bool overload_on, int queued, sim::SimTime open_at)
+{
+    Simulation sim;
+    net::Network network(sim, sim::Rng(11));
+    faas::FunctionConfig function;
+    function.vcpus = 4.0;
+    function.concurrency_level = 1;
+    // The pool fits exactly one instance, so queued work cannot scale out.
+    faas::Platform platform(sim, network, sim::Rng(12),
+                            faas::PlatformConfig{function.vcpus, {}});
+    sim::Gate gate(sim);
+    util::OverloadControlConfig overload;
+    overload.enabled = overload_on;
+    faas::FunctionDeployment& deployment = platform.create_deployment(
+        "nn0", function,
+        [&gate](faas::FunctionInstance&) {
+            return std::make_unique<GatedApp>(gate);
+        },
+        overload);
+    deployment.prewarm(1);
+    std::vector<OpResult> results(static_cast<size_t>(queued) + 1);
+    sim::spawn(co_gateway_invoke(deployment, results[0]));
+    sim.run_until(sim::msec(100));  // the holder is in service
+    for (size_t i = 1; i < results.size(); ++i) {
+        sim::spawn(co_gateway_invoke(deployment, results[i]));
+    }
+    sim.run_until(open_at);
+    GatewayRun run;
+    run.queued_while_held = deployment.queue_length();
+    for (const OpResult& r : results) {
+        run.refused_while_held +=
+            r.status.code() == Code::kResourceExhausted ? 1 : 0;
+    }
+    gate.set();
+    sim.run_until(open_at + sim::sec(5));
+    for (const OpResult& r : results) {
+        run.ok += r.status.ok() ? 1 : 0;
+        run.resource_exhausted +=
+            r.status.code() == Code::kResourceExhausted ? 1 : 0;
+    }
+    run.shed = deployment.shed_total();
+    return run;
+}
+
+TEST(GatewayOverload, BoundedQueueRefusesExcess)
+{
+    constexpr int kExcess = 5;
+    GatewayRun run = run_held_gateway(
+        true, util::kGatewayQueueDepth + kExcess, sim::sec(1));
+    EXPECT_EQ(run.queued_while_held,
+              static_cast<size_t>(util::kGatewayQueueDepth));
+    EXPECT_EQ(run.refused_while_held, kExcess);
+    EXPECT_EQ(run.resource_exhausted, kExcess);
+    EXPECT_EQ(run.shed, static_cast<uint64_t>(kExcess));
+    // The holder and every queued invocation are served once it frees.
+    EXPECT_EQ(run.ok, 1 + util::kGatewayQueueDepth);
+}
+
+TEST(GatewayOverload, SojournOverrunShedsAtDequeue)
+{
+    // Released 3 s in, past the 2-s bound: the queued work is shed.
+    static_assert(sim::sec(3) > util::kGatewaySojournLimit);
+    GatewayRun run = run_held_gateway(true, 3, sim::sec(3));
+    EXPECT_EQ(run.refused_while_held, 0);
+    EXPECT_EQ(run.ok, 1);
+    EXPECT_EQ(run.resource_exhausted, 3);
+    EXPECT_EQ(run.shed, 3u);
+}
+
+TEST(GatewayOverload, ControlOffShedsNothing)
+{
+    GatewayRun deep = run_held_gateway(
+        false, util::kGatewayQueueDepth + 5, sim::sec(1));
+    EXPECT_EQ(deep.queued_while_held,
+              static_cast<size_t>(util::kGatewayQueueDepth + 5));
+    EXPECT_EQ(deep.ok, 1 + util::kGatewayQueueDepth + 5);
+    EXPECT_EQ(deep.shed, 0u);
+    GatewayRun sojourn = run_held_gateway(false, 3, sim::sec(3));
+    EXPECT_EQ(sojourn.ok, 4);
+    EXPECT_EQ(sojourn.shed, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -377,7 +513,7 @@ TEST(OverloadOracle, OutageWithControlShedsButStaysConsistent)
     Simulation sim;
     LambdaFs fs(sim, overload_config(11));
     sim::FaultPlan plan(sim, 1234);
-    // A 5 s full-store outage: with store_fail_fast on, transactions fail
+    // A 5 s full-store outage: with overload control on, transactions fail
     // UNAVAILABLE immediately, the per-shard breakers open, and clients
     // burn deadline/retry budget instead of stalling forever.
     sim::StoreOutageWindow outage;
