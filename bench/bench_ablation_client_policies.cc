@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "common/harness.h"
-#include "src/workload/fault_injector.h"
+#include "src/sim/fault.h"
 #include "src/workload/microbench.h"
 
 namespace lfs::bench {
@@ -45,11 +45,11 @@ run_ablation()
         config.client.anti_thrashing = policy.anti_thrash;
         core::LambdaFs fs(sim, config);
         ns::BuiltTree tree = build_bench_tree(fs.authoritative_tree());
-        workload::FaultInjector injector(sim, sim::sec(5), [&fs](int round) {
+        sim::FaultPlan plan(sim, /*seed=*/1);
+        plan.add_kill_schedule(sim::sec(5), sim::sec(3600), [&fs](int round) {
             return fs.kill_name_node(round %
                                      fs.platform().deployment_count());
         });
-        injector.start(sim::sec(3600));
         workload::MicrobenchConfig mcfg;
         mcfg.op = OpType::kReadFile;
         mcfg.num_clients = clients;

@@ -414,14 +414,15 @@ run_tracing_overhead_audit()
 
 /**
  * Satellite: attribution overhead audit. Runs the same closed-loop λFS
- * stat microbenchmark with the attribution stack that --attribution
- * arms (ledger stamping at every site, per-op histogram recording,
- * worst-k flight recorder) and with it off, and compares wall-clock
- * events/sec. Enabled must run within 5% of disabled — the ledger is a
- * fixed array with no allocation, every stamp is guarded by one bool
- * check, and the recorder rejects non-tail ops against the k-th worst
- * before copying anything. (Exemplar span capture is priced under
- * tracing, not here: it only happens when --trace-out arms the tracer.)
+ * stat microbenchmark with the recording that --attribution arms
+ * (ledger finalize, per-op histogram recording, worst-k flight
+ * recorder) and with it off, and compares wall-clock events/sec. Every
+ * layer stamps the ledger in both arms, so the audit prices the
+ * recording. Enabled must run within 5% of disabled — the ledger is a
+ * fixed array with no allocation, and the recorder rejects non-tail ops
+ * against the k-th worst before copying anything. (Exemplar span capture
+ * is priced under tracing, not here: it only happens when --trace-out
+ * arms the tracer.)
  */
 bool
 run_attribution_overhead_audit()

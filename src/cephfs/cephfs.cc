@@ -30,7 +30,6 @@ sim::Task<OpResult>
 CephClient::execute(Op op)
 {
     sim::Simulation& sim = fs_.simulation();
-    const bool attr = sim.attribution();
     // Capability hit: read served entirely client-side. statfs is
     // never cap-cacheable (global counters); a held symlink cap can
     // satisfy lstat but not open-for-read, which needs the target.
@@ -46,12 +45,10 @@ CephClient::execute(Op op)
             co_await sim::delay(fs_.simulation(),
                                 fs_.config().client_local_op);
             OpResult result;
-            if (attr) {
-                // The client IS the metadata service here: the cap-hit
-                // lookup is its entire service time.
-                result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                                  sim.now() - local_start);
-            }
+            // The client IS the metadata service here: the cap-hit
+            // lookup is its entire service time.
+            result.ledger.add(sim::LatSeg::kNameNodeCpu,
+                              sim.now() - local_start);
             if (op.type == OpType::kReadFile && !held->is_file()) {
                 result.status =
                     Status::failed_precondition("not a file: " + op.path);
@@ -64,19 +61,15 @@ CephClient::execute(Op op)
         }
     }
     // Cap miss or mutating op: round trip to the owning MDS.
-    sim::SimTime t0 = sim.now();
-    co_await fs_.network().transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
+    sim::LatencyLedger hops;
+    co_await fs_.network().transfer(net::LatencyClass::kTcp, hops);
+    const sim::SimTime mds_start = sim.now();
     OpResult result = co_await fs_.mds_serve(op, this);
-    sim::SimTime t2 = sim.now();
-    co_await fs_.network().transfer(net::LatencyClass::kTcp);
-    if (attr) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-        // Coarse attribution: everything inside the MDS (CPU queueing,
-        // journal append, cap revocation) counts as service compute.
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, t2 - t1);
-    }
+    // Coarse attribution: everything inside the MDS (CPU queueing,
+    // journal append, cap revocation) counts as service compute.
+    result.ledger.add(sim::LatSeg::kNameNodeCpu, sim.now() - mds_start);
+    co_await fs_.network().transfer(net::LatencyClass::kTcp, hops);
+    result.ledger.merge(hops);
     if (result.status.ok() && is_read_op(op.type) &&
         op.type != OpType::kLs && op.type != OpType::kStatFs &&
         !result.via_symlink) {

@@ -30,9 +30,8 @@ co_tcp_round(LfsRuntime& rt, faas::FunctionInstance* instance,
              faas::Invocation inv,
              std::shared_ptr<sim::OneShot<OpResult>> cell)
 {
-    sim::SimTime t0 = rt.sim.now();
-    co_await rt.network.transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = rt.sim.now();
+    sim::LatencyLedger hops;
+    co_await rt.network.transfer(net::LatencyClass::kTcp, hops);
     OpResult result = co_await instance->serve_tcp(std::move(inv));
     if (result.status.code() == Code::kUnavailable) {
         co_return;  // silence: the timeout path resolves the cell
@@ -40,15 +39,11 @@ co_tcp_round(LfsRuntime& rt, faas::FunctionInstance* instance,
     auto reply_fault = rt.network.message_fault(
         sim::FaultChannel::kClientRpc, sim::MessageDirection::kReply,
         instance->deployment_id());
-    sim::SimTime t2 = rt.sim.now();
-    co_await rt.network.transfer(net::LatencyClass::kTcp);
+    co_await rt.network.transfer(net::LatencyClass::kTcp, hops);
     if (reply_fault.drop) {
         co_return;  // reply lost on the wire; the op may have committed
     }
-    if (rt.sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (rt.sim.now() - t2));
-    }
+    result.ledger.merge(hops);
     cell->try_set(std::move(result));
 }
 
@@ -221,7 +216,6 @@ LfsClient::execute(Op op)
     // those attempts attributed themselves), and finally the winning
     // attempt's own ledger. The workload driver finalizes the result
     // ledger against measured end-to-end latency.
-    const bool attr = rt_.sim.attribution();
     sim::LatencyLedger acc;
 
     OpResult result;
@@ -249,10 +243,8 @@ LfsClient::execute(Op op)
             // retries only extends the outage.
             sim::SimTime backoff_start = rt_.sim.now();
             co_await backoff(attempt, prev_backoff);
-            if (attr) {
-                acc.add(sim::LatSeg::kClientBackoff,
-                        rt_.sim.now() - backoff_start);
-            }
+            acc.add(sim::LatSeg::kClientBackoff,
+                    rt_.sim.now() - backoff_start);
             if (op_expired(op, rt_.sim.now())) {
                 ++deadline_giveups_;
                 op_span.annotate("giveup", "deadline");
@@ -342,18 +334,16 @@ LfsClient::execute(Op op)
                                             : result.status.message());
         attempt_span.end();
         result.trace_id = op.trace.trace_id;
-        if (attr) {
-            // Fold the attempt's ledger into the accumulator. For an
-            // attempt that will be retried, whatever it could not
-            // attribute (timed-out silence, lost replies) is charged to
-            // kClientRetryWait so the op's total still adds up.
-            acc.merge(result.ledger);
-            if (retryable_code(result.status.code())) {
-                acc.add(sim::LatSeg::kClientRetryWait,
-                        latency - result.ledger.total());
-            }
-            result.ledger = acc;
+        // Fold the attempt's ledger into the accumulator. For an attempt
+        // that will be retried, whatever it could not attribute
+        // (timed-out silence, lost replies) is charged to
+        // kClientRetryWait so the op's total still adds up.
+        acc.merge(result.ledger);
+        if (retryable_code(result.status.code())) {
+            acc.add(sim::LatSeg::kClientRetryWait,
+                    latency - result.ledger.total());
         }
+        result.ledger = acc;
 
         if (result.status.code() == Code::kDeadlineExceeded) {
             ++timeouts_;

@@ -186,7 +186,6 @@ NameNode::run_subtree_coherence(Op op)
 sim::Task<OpResult>
 NameNode::handle_read(const Op& op)
 {
-    const bool attr = rt_.sim.attribution();
     sim::SimTime cpu = config_.read_cpu;
     if (op.type == OpType::kReadFile) {
         cpu += config_.read_block_cpu;
@@ -199,9 +198,7 @@ NameNode::handle_read(const Op& op)
         // Namespace-wide aggregates are never cached — every statfs
         // reads the per-shard counters through the store.
         OpResult result = co_await rt_.store.read_op(op);
-        if (attr) {
-            result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-        }
+        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
         result.chain.clear();
         co_return result;
     }
@@ -221,9 +218,7 @@ NameNode::handle_read(const Op& op)
         (hit.has_value() ? cache_hits_ : cache_misses_).add();
     }
     if (hit.has_value()) {
-        if (attr) {
-            hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-        }
+        hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
         co_return std::move(*hit);
     }
     // Guarded install: the row locks protecting the store read are gone
@@ -243,9 +238,7 @@ NameNode::handle_read(const Op& op)
         co_await instance_.compute(config_.miss_extra_cpu);
         cpu_wait += rt_.sim.now() - miss_start;
     }
-    if (attr) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-    }
+    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     // The chain was only needed for cache installation; dropping it here
     // avoids copying it through the RPC reply path and result cache.
     result.chain.clear();
@@ -280,7 +273,6 @@ NameNode::cache_own_partition_entries(const std::vector<ns::INode>& chain,
 sim::Task<OpResult>
 NameNode::handle_write(const Op& op)
 {
-    const bool attr = rt_.sim.attribution();
     sim::SimTime cpu_start = rt_.sim.now();
     co_await instance_.compute(config_.write_cpu);
     // `pre` collects everything stamped before the store transaction:
@@ -288,9 +280,7 @@ NameNode::handle_write(const Op& op)
     // round trip's own ledger; it is merged into whichever result this
     // handler ultimately returns.
     sim::LatencyLedger pre;
-    if (attr) {
-        pre.add(sim::LatSeg::kNameNodeCpu, rt_.sim.now() - cpu_start);
-    }
+    pre.add(sim::LatSeg::kNameNodeCpu, rt_.sim.now() - cpu_start);
     // Path resolution: a write must validate/permission-check the parent
     // chain. With the parent cached (the "INode Hint Cache" effect) this
     // is free; otherwise it costs one batched resolve round trip.
@@ -304,9 +294,7 @@ NameNode::handle_write(const Op& op)
         const cache::MetadataCache::ReadToken token = cache_.begin_read();
         OpResult resolved = co_await rt_.store.read_op(resolve);
         free_resolves_.push_back(std::move(resolve));
-        if (attr) {
-            pre.merge(resolved.ledger);
-        }
+        pre.merge(resolved.ledger);
         if (resolved.status.ok() &&
             rt_.partitioner.deployment_for(op.path) ==
                 instance_.deployment_id()) {
@@ -321,9 +309,7 @@ NameNode::handle_write(const Op& op)
                 resolved.status.code() == Code::kNotFound) {
                 parent_missing = true;
             } else {
-                if (attr) {
-                    resolved.ledger = pre;
-                }
+                resolved.ledger = pre;
                 co_return resolved;
             }
         }
@@ -335,9 +321,7 @@ NameNode::handle_write(const Op& op)
         op, [this, &op, parent_missing]() {
             return run_coherence(op, parent_missing);
         });
-    if (attr) {
-        result.ledger.merge(pre);
-    }
+    result.ledger.merge(pre);
     co_return result;
 }
 
@@ -357,9 +341,7 @@ NameNode::handle_subtree(const Op& op)
     exec.after_lock = [this, &op]() { return run_subtree_coherence(op); };
     exec.per_row_nn_cost = config_.subtree_per_row_cpu / helpers;
     OpResult result = co_await rt_.store.subtree_op(op, exec);
-    if (rt_.sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-    }
+    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     co_return result;
 }
 
@@ -409,15 +391,13 @@ NameNode::handle(faas::Invocation inv)
         sim::SimTime hit_start = rt_.sim.now();
         co_await instance_.compute(sim::usec(20));
         result = *std::move(retained);
-        if (rt_.sim.attribution()) {
-            // The retained ledger describes the *original* execution,
-            // whose wall time overlaps the resubmitting client's
-            // retry-wait accounting; returning it would double-count.
-            // This attempt only spent the dedup-lookup compute.
-            result.ledger.clear();
-            result.ledger.add(sim::LatSeg::kNameNodeCpu,
-                              rt_.sim.now() - hit_start);
-        }
+        // The retained ledger describes the *original* execution, whose
+        // wall time overlaps the resubmitting client's retry-wait
+        // accounting; returning it would double-count. This attempt only
+        // spent the dedup-lookup compute.
+        result.ledger.clear();
+        result.ledger.add(sim::LatSeg::kNameNodeCpu,
+                          rt_.sim.now() - hit_start);
         co_return result;
     }
     if (is_read_op(op.type)) {

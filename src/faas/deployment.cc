@@ -153,13 +153,8 @@ FunctionDeployment::invoke_via_gateway(Invocation inv)
         sim_.tracer().start_span("faas", "gateway", inv.op.trace);
     gateway_span.annotate("deployment", name_);
     inv.op.trace = gateway_span.context();
-    const bool attr = sim_.attribution();
     sim::LatencyLedger led;
-    sim::SimTime t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kHttpGateway);
-    if (attr) {
-        led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-    }
+    co_await network_.transfer(net::LatencyClass::kHttpGateway, led);
     // Admission control at the gateway: bound the queue and refuse work
     // that is already past its deadline, paying only the HTTP round trip.
     OpResult result;
@@ -182,9 +177,7 @@ FunctionDeployment::invoke_via_gateway(Invocation inv)
             QueuedInvocation{cell, enqueued, inv.op.deadline});
         drain_queue();
         FunctionInstance* inst = co_await cell->wait();
-        if (attr) {
-            led.add(sim::LatSeg::kGatewayQueue, sim_.now() - enqueued);
-        }
+        led.add(sim::LatSeg::kGatewayQueue, sim_.now() - enqueued);
         if (inst == nullptr) {
             // Shed while queued (drain_queue resolved the cell to nullptr).
             bool expired = op_expired(inv.op, sim_.now());
@@ -200,12 +193,8 @@ FunctionDeployment::invoke_via_gateway(Invocation inv)
             result = co_await inst->serve_http(std::move(inv));
         }
     }
-    t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kHttpGateway);
-    if (attr) {
-        led.add(sim::LatSeg::kNetGateway, sim_.now() - t0);
-        result.ledger.merge(led);
-    }
+    co_await network_.transfer(net::LatencyClass::kHttpGateway, led);
+    result.ledger.merge(led);
     co_return result;
 }
 

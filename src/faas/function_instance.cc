@@ -173,9 +173,7 @@ FunctionInstance::serve(Invocation inv, bool via_http)
     begin_request();
     requests_.add();
     OpResult result = co_await app_->handle(std::move(inv));
-    if (cold_wait > 0 && sim_.attribution()) {
-        result.ledger.add(sim::LatSeg::kColdStartWait, cold_wait);
-    }
+    result.ledger.add(sim::LatSeg::kColdStartWait, cold_wait);
     // Release the HTTP concurrency slot before end_request() so the
     // deployment's queue-drain hook sees this slot as free.
     if (via_http) {

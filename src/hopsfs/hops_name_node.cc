@@ -62,7 +62,6 @@ HopsNameNode::serve_read(const Op& op)
                                      : config_.proxy_cpu);
     cpu_.release();
     sim::SimTime cpu_wait = sim_.now() - cpu_start;
-    const bool attr = sim_.attribution();
 
     // statfs aggregates are never cached; symlink follow-ops (read, ls)
     // need the target under its canonical path, not the cached link.
@@ -73,16 +72,12 @@ HopsNameNode::serve_read(const Op& op)
             hit = ns::apply_cached(store_.tree(), op, *cached);
         }
         if (hit.has_value()) {
-            if (attr) {
-                hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-            }
+            hit->ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             co_return std::move(*hit);
         }
     }
     OpResult result = co_await store_.read_op(op);
-    if (attr) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-    }
+    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     if (cache_ && result.status.ok() && op.type != OpType::kStatFs) {
         cache_->put_chain(result.chain);
     }
@@ -139,9 +134,7 @@ HopsNameNode::serve_write(const Op& op)
         auto target = store_.tree().stat(op.path, root);
         if (target.ok() && target->is_dir()) {
             OpResult result = co_await serve_subtree(op);
-            if (sim_.attribution()) {
-                result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-            }
+            result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
             co_return result;
         }
     }
@@ -149,9 +142,7 @@ HopsNameNode::serve_write(const Op& op)
     auto inv_round = [this, &op]() { return write_inv_round(op); };
     OpResult result = co_await store_.write_op(
         op, cache_ ? store::MetadataStore::LockedHook(inv_round) : nullptr);
-    if (sim_.attribution()) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-    }
+    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     co_return result;
 }
 
@@ -170,9 +161,7 @@ HopsNameNode::serve_subtree(const Op& op)
         exec.after_lock = [this, &op]() { return subtree_inv_round(op); };
     }
     OpResult result = co_await store_.subtree_op(op, std::move(exec));
-    if (sim_.attribution()) {
-        result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-    }
+    result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
     co_return result;
 }
 

@@ -16,17 +16,11 @@ constexpr sim::SimTime kRequestTimeout = sim::sec(5);
 sim::Task<OpResult>
 co_nn_round(net::Network& network, HopsNameNode& nn, Op op)
 {
-    sim::Simulation& sim = network.simulation();
-    sim::SimTime t0 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
+    sim::LatencyLedger hops;
+    co_await network.transfer(net::LatencyClass::kTcp, hops);
     OpResult result = co_await nn.serve(std::move(op));
-    sim::SimTime t2 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    if (sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-    }
+    co_await network.transfer(net::LatencyClass::kTcp, hops);
+    result.ledger.merge(hops);
     co_return result;
 }
 
@@ -109,7 +103,6 @@ HopsClient::execute(Op op)
     op_span.annotate("client", static_cast<int64_t>(id_));
     op.trace = op_span.context();
     sim::Simulation& sim = fs_.simulation();
-    const bool attr = sim.attribution();
     sim::LatencyLedger acc;
     OpResult result;
     for (int attempt = 1; attempt <= fs_.config().max_attempts; ++attempt) {
@@ -127,14 +120,12 @@ HopsClient::execute(Op op)
         cell->expire_after(timeout, &client_timeout_result);
         sim::spawn(co_run_into(co_nn_round(fs_.network(), nn, op), cell));
         result = co_await cell->wait();
-        if (attr) {
-            acc.merge(result.ledger);
-            if (retryable_code(result.status.code())) {
-                acc.add(sim::LatSeg::kClientRetryWait,
-                        (sim.now() - attempt_start) - result.ledger.total());
-            }
-            result.ledger = acc;
+        acc.merge(result.ledger);
+        if (retryable_code(result.status.code())) {
+            acc.add(sim::LatSeg::kClientRetryWait,
+                    (sim.now() - attempt_start) - result.ledger.total());
         }
+        result.ledger = acc;
         if (!retryable_code(result.status.code())) {
             co_return result;
         }
@@ -145,9 +136,7 @@ HopsClient::execute(Op op)
                                                   sim::msec(50)));
         acc.add(sim::LatSeg::kClientBackoff, sim.now() - backoff_start);
     }
-    if (attr) {
-        result.ledger = acc;
-    }
+    result.ledger = acc;
     co_return result;
 }
 

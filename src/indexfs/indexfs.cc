@@ -23,17 +23,11 @@ constexpr size_t kClientCacheEntries = 4096;
 sim::Task<OpResult>
 exchange(net::Network& network, sim::Task<OpResult> served)
 {
-    sim::Simulation& sim = network.simulation();
-    sim::SimTime t0 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    sim::SimTime t1 = sim.now();
+    sim::LatencyLedger hops;
+    co_await network.transfer(net::LatencyClass::kTcp, hops);
     OpResult result = co_await std::move(served);
-    sim::SimTime t2 = sim.now();
-    co_await network.transfer(net::LatencyClass::kTcp);
-    if (sim.attribution()) {
-        result.ledger.add(sim::LatSeg::kNetClient,
-                          (t1 - t0) + (sim.now() - t2));
-    }
+    co_await network.transfer(net::LatencyClass::kTcp, hops);
+    result.ledger.merge(hops);
     co_return result;
 }
 
@@ -51,22 +45,20 @@ IndexFsServer::IndexFsServer(IndexFs& fs, sim::Simulation& sim, sim::Rng rng,
 }
 
 sim::Task<void>
-IndexFsServer::spend_cpu(OpResult& r)
+IndexFsServer::spend_cpu(sim::LatencyLedger& ledger)
 {
     sim::SimTime cpu_start = sim_.now();
     co_await cpu_.acquire();
     co_await sim::delay(sim_, cpu_service_);
     cpu_.release();
-    if (sim_.attribution()) {
-        r.ledger.add(sim::LatSeg::kNameNodeCpu, sim_.now() - cpu_start);
-    }
+    ledger.add(sim::LatSeg::kNameNodeCpu, sim_.now() - cpu_start);
 }
 
 sim::Task<OpResult>
 IndexFsServer::serve(const Op& op)
 {
-    OpResult cpu;
-    co_await spend_cpu(cpu);
+    sim::LatencyLedger led;
+    co_await spend_cpu(led);
     sim::SimTime lsm_start = sim_.now();
     IndexFsServer* dst =
         has_dst_path(op.type) ? &fs_.server_for(op.dst) : nullptr;
@@ -74,13 +66,10 @@ IndexFsServer::serve(const Op& op)
         sim_, fs_.authoritative_tree(), op, lsm_,
         dst != nullptr ? &dst->lsm() : nullptr,
         dst != nullptr && dst != this ? &fs_.network() : nullptr);
-    if (sim_.attribution()) {
-        // LSM-tree work (memtable, WAL, compaction stalls) is the
-        // store-service share of an IndexFS op.
-        result.ledger = cpu.ledger;
-        result.ledger.add(sim::LatSeg::kStoreService,
-                          sim_.now() - lsm_start);
-    }
+    // LSM-tree work (memtable, WAL, compaction stalls) is the
+    // store-service share of an IndexFS op.
+    led.add(sim::LatSeg::kStoreService, sim_.now() - lsm_start);
+    result.ledger = led;
     co_return result;
 }
 
@@ -88,15 +77,12 @@ sim::Task<OpResult>
 IndexFsServer::visit(const std::string* key)
 {
     OpResult result;
-    co_await spend_cpu(result);
+    co_await spend_cpu(result.ledger);
     sim::SimTime lsm_start = sim_.now();
     if (key != nullptr) {
         (void)co_await lsm_.get(*key);
     }
-    if (sim_.attribution()) {
-        result.ledger.add(sim::LatSeg::kStoreService,
-                          sim_.now() - lsm_start);
-    }
+    result.ledger.add(sim::LatSeg::kStoreService, sim_.now() - lsm_start);
     co_return result;
 }
 
@@ -145,10 +131,8 @@ IndexFsClient::execute(Op op)
                            tree, op, it->second.inode)) {
                 sim::SimTime local_start = sim.now();
                 co_await sim::delay(sim, fs_.config().client_local_op);
-                if (sim.attribution()) {
-                    hit->ledger.add(sim::LatSeg::kNameNodeCpu,
-                                    sim.now() - local_start);
-                }
+                hit->ledger.add(sim::LatSeg::kNameNodeCpu,
+                                sim.now() - local_start);
                 co_return std::move(*hit);
             }
         }

@@ -73,8 +73,8 @@ class IndexFsServer {
     int id() const { return id_; }
 
   private:
-    /** Queue for and spend the CPU; attribute it to @p r. */
-    sim::Task<void> spend_cpu(OpResult& r);
+    /** Queue for and spend the CPU; stamp it into @p ledger. */
+    sim::Task<void> spend_cpu(sim::LatencyLedger& ledger);
 
     IndexFs& fs_;
     sim::Simulation& sim_;

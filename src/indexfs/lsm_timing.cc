@@ -154,14 +154,11 @@ LsmStore::transact(const Op& op, LockedHook after_lock)
         co_return unserved(op);
     }
     ++(is_read_op(op.type) ? reads_ : writes_);
-    const bool attr = sim_.attribution();
     sim::LatencyLedger led;
     if (after_lock) {
         const sim::SimTime coh_start = sim_.now();
         co_await after_lock();
-        if (attr) {
-            led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
-        }
+        led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
     }
     const sim::SimTime start = sim_.now();
     OpResult result;
@@ -189,10 +186,8 @@ LsmStore::transact(const Op& op, LockedHook after_lock)
             p = std::move(next);
         }
     }
-    if (attr) {
-        led.add(sim::LatSeg::kStoreService, sim_.now() - start);
-        result.ledger = led;
-    }
+    led.add(sim::LatSeg::kStoreService, sim_.now() - start);
+    result.ledger = led;
     co_return result;
 }
 

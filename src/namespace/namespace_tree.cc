@@ -312,21 +312,46 @@ StatusOr<ResolvedPath>
 NamespaceTree::resolve(std::string_view p, const UserContext& user,
                        Follow follow) const
 {
+    // The scope defers eviction, so every id on the chain stays resident
+    // until it is materialized.
     OpScope scope(this);
-    return resolve_ex(p, user, follow == Follow::kFinal, 0);
+    IdChain ids;
+    ResolvedPath out;
+    Status st = resolve_ids(p, user, follow, &ids, &out.via_symlink);
+    if (!st.ok()) {
+        return st;
+    }
+    out.chain.reserve(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+        out.chain.push_back(materialize(*resident_ptr(ids[i])));
+    }
+    return out;
 }
 
-StatusOr<ResolvedPath>
-NamespaceTree::resolve_ex(std::string_view p, const UserContext& user,
-                          bool follow_final, int depth) const
+Status
+NamespaceTree::resolve_ids(std::string_view p, const UserContext& user,
+                           Follow follow, IdChain* out,
+                           bool* via_symlink) const
+{
+    OpScope scope(this);
+    if (via_symlink != nullptr) {
+        *via_symlink = false;
+    }
+    return resolve_ids_ex(p, user, follow == Follow::kFinal, 0, out,
+                          via_symlink);
+}
+
+Status
+NamespaceTree::resolve_ids_ex(std::string_view p, const UserContext& user,
+                              bool follow_final, int depth, IdChain* out,
+                              bool* via_symlink) const
 {
     if (!path::is_valid(p)) {
         return Status::invalid_argument(describe("bad path: ", p));
     }
-    ResolvedPath out;
-    out.chain.reserve(static_cast<size_t>(path::depth(p)) + 1);
+    out->clear();
     const INodeRec* cur = resident_ptr(kRootId);
-    out.chain.push_back(materialize(*cur));
+    out->push(kRootId);
     // Walk components by offset (not PathView) so a symlink splice can
     // recover the unconsumed suffix of the path.
     size_t i = 0;
@@ -367,80 +392,6 @@ NamespaceTree::resolve_ex(std::string_view p, const UserContext& user,
             }
             // Splice: restart resolution at the link target with the
             // unconsumed suffix (which starts with '/' or is empty).
-            std::string next(targets_.name(node->aux));
-            next.append(p.substr(i));
-            auto spliced = resolve_ex(next, user, follow_final, depth + 1);
-            if (spliced.ok()) {
-                spliced->via_symlink = true;
-            }
-            return spliced;
-        }
-        cur = node;
-        out.chain.push_back(materialize(*node));
-    }
-    return out;
-}
-
-Status
-NamespaceTree::resolve_ids(std::string_view p, const UserContext& user,
-                           Follow follow, IdChain* out,
-                           bool* via_symlink) const
-{
-    OpScope scope(this);
-    if (via_symlink != nullptr) {
-        *via_symlink = false;
-    }
-    return resolve_ids_ex(p, user, follow == Follow::kFinal, 0, out,
-                          via_symlink);
-}
-
-Status
-NamespaceTree::resolve_ids_ex(std::string_view p, const UserContext& user,
-                              bool follow_final, int depth, IdChain* out,
-                              bool* via_symlink) const
-{
-    if (!path::is_valid(p)) {
-        return Status::invalid_argument(describe("bad path: ", p));
-    }
-    out->clear();
-    const INodeRec* cur = resident_ptr(kRootId);
-    out->push(kRootId);
-    size_t i = 0;
-    while (i < p.size()) {
-        while (i < p.size() && p[i] == '/') {
-            ++i;
-        }
-        size_t start = i;
-        while (i < p.size() && p[i] != '/') {
-            ++i;
-        }
-        if (i == start) {
-            break;
-        }
-        std::string_view comp = p.substr(start, i - start);
-        if (!cur->is_dir()) {
-            return Status::not_found(describe("not a directory on path: ", p));
-        }
-        if (!rec_access(*cur, user, Access::kExecute)) {
-            return Status::permission_denied("no traverse on " +
-                                             full_path(cur->id));
-        }
-        INodeId child = kInvalidId;
-        if (uint32_t name_id = names_.find(comp);
-            name_id != NameTable::kNoName) {
-            child = dir_table(*cur).find_exact(name_id);
-        }
-        if (child == kInvalidId) {
-            return Status::not_found(describe("no such path: ", p));
-        }
-        const INodeRec* node = fetch(child);
-        assert(node != nullptr);
-        bool last = p.find_first_not_of('/', i) == std::string_view::npos;
-        if (node->is_symlink() && (!last || follow_final)) {
-            if (depth + 1 > kMaxSymlinkFollows) {
-                return Status::failed_precondition(
-                    describe("symlink loop (ELOOP): ", p));
-            }
             std::string next(targets_.name(node->aux));
             next.append(p.substr(i));
             if (via_symlink != nullptr) {

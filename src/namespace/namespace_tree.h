@@ -483,9 +483,6 @@ class NamespaceTree {
         }
     };
 
-    StatusOr<ResolvedPath> resolve_ex(std::string_view path,
-                                      const UserContext& user,
-                                      bool follow_final, int depth) const;
     Status resolve_ids_ex(std::string_view path, const UserContext& user,
                           bool follow_final, int depth, IdChain* out,
                           bool* via_symlink) const;

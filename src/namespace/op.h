@@ -159,8 +159,8 @@ struct OpResult {
     /**
      * Latency attribution ledger (DESIGN.md §11). Rides by value so a
      * late-finishing duplicate attempt (discarded by the client's
-     * first-wins cell) can never stamp into a dead op. Empty unless
-     * Simulation::attribution() is on.
+     * first-wins cell) can never stamp into a dead op. Every layer
+     * stamps it on every op.
      */
     sim::LatencyLedger ledger;
     /** Trace id of the op's root span (0 = untraced). */

@@ -59,16 +59,49 @@ fault_channel_for(LatencyClass cls)
     return sim::FaultChannel::kCoordInv;
 }
 
+/** Ledger segment a stamped hop of class @p cls is charged to. */
+sim::LatSeg
+segment_for(LatencyClass cls)
+{
+    switch (cls) {
+      case LatencyClass::kHttpGateway:
+        return sim::LatSeg::kNetGateway;
+      case LatencyClass::kStore:
+        return sim::LatSeg::kNetStore;
+      case LatencyClass::kCoord:
+        return sim::LatSeg::kCoherence;
+      case LatencyClass::kLocal:
+      case LatencyClass::kTcp:
+      case LatencyClass::kCount:
+        break;
+    }
+    return sim::LatSeg::kNetClient;
+}
+
 }  // namespace
 
-sim::Task<void>
-Network::transfer(LatencyClass cls)
+sim::SimTime
+Network::hop_latency(LatencyClass cls)
 {
     sim::SimTime latency = sample(cls);
     if (sim::FaultPlan* plan = sim_.fault_plan()) {
         latency += plan->message_delay(fault_channel_for(cls));
     }
+    return latency;
+}
+
+sim::Task<void>
+Network::transfer(LatencyClass cls)
+{
+    co_await sim::delay(sim_, hop_latency(cls));
+}
+
+sim::Task<void>
+Network::transfer(LatencyClass cls, sim::LatencyLedger& ledger)
+{
+    const sim::SimTime latency = hop_latency(cls);
     co_await sim::delay(sim_, latency);
+    ledger.add(segment_for(cls), latency);
 }
 
 sim::Task<void>

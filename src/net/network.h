@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "src/sim/fault.h"
+#include "src/sim/latency.h"
 #include "src/sim/primitives.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
@@ -65,6 +66,14 @@ class Network {
      */
     sim::Task<void> transfer(LatencyClass cls);
 
+    /**
+     * transfer(), charging the hop to @p ledger's segment for @p cls
+     * (kTcp → net_client, kHttpGateway → net_gateway, kStore →
+     * net_store). Hops inside a coherence hook or an LSM service window
+     * take the plain transfer(): that window is stamped whole.
+     */
+    sim::Task<void> transfer(LatencyClass cls, sim::LatencyLedger& ledger);
+
     /** Suspend for a full round trip (two one-way samples). */
     sim::Task<void> round_trip(LatencyClass cls);
 
@@ -83,13 +92,13 @@ class Network {
     /** Messages sent so far in class @p cls. */
     uint64_t messages(LatencyClass cls) const;
 
-    /** The simulation this fabric schedules on (for latency stamping). */
-    sim::Simulation& simulation() { return sim_; }
-
     const NetworkConfig& config() const { return config_; }
 
   private:
     const LatencyModel& model(LatencyClass cls) const;
+
+    /** sample(@p cls) plus any delay fault the installed plan adds. */
+    sim::SimTime hop_latency(LatencyClass cls);
 
     sim::Simulation& sim_;
     sim::Rng rng_;

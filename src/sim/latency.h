@@ -11,11 +11,13 @@
  * layer did not stamp lands in kUnattributed, and stamping is designed so
  * segments never overlap (no double counting — see test_attribution.cc).
  *
- * Attribution is off by default (Simulation::attribution()); stamping
- * sites guard on that flag so the disabled cost is one branch per site.
- *
- * Recording only reads Simulation::now() and never schedules events, so
- * enabling attribution cannot change simulated results.
+ * Every op's ledger is always stamped, each segment by the layer that
+ * spends the time (a stamped net::Network::transfer charges its own hop).
+ * Stamping is a few integer adds into this fixed array and never
+ * schedules an event, so it cannot change simulated results. The
+ * simulation's attribution switch (off by default) arms only the
+ * recording: the drivers' attr.* histograms, the flight recorder and the
+ * harness tables.
  */
 #pragma once
 

@@ -79,9 +79,10 @@ class Simulation {
     void install_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
     /**
-     * Latency attribution (DESIGN.md §11): when on, layers stamp per-op
-     * segment durations into OpResult::ledger. Off by default; each
-     * stamping site costs one branch.
+     * Latency attribution (DESIGN.md §11): layers always stamp per-op
+     * segment durations into OpResult::ledger; this switch (off by
+     * default) arms recording them — the drivers' attr.* histograms,
+     * the flight recorder and the harness tables.
      */
     bool attribution() const { return attribution_; }
     void set_attribution(bool on) { attribution_ = on; }

@@ -52,7 +52,7 @@ DataNode::stall_while_down()
 sim::Task<Status>
 DataNode::admit_and_serve(sim::Semaphore& slots, sim::SimTime base_service,
                           sim::Counter& served, sim::SimTime deadline,
-                          sim::LatencyLedger* ledger)
+                          sim::LatencyLedger& ledger)
 {
     sim::SimTime entry = sim_.now();
     sim::FaultPlan* plan = sim_.fault_plan();
@@ -74,7 +74,7 @@ DataNode::admit_and_serve(sim::Semaphore& slots, sim::SimTime base_service,
         co_return Status::deadline_exceeded("expired at store admission");
     }
     if (overload_.enabled &&
-        slots.waiting() >= static_cast<size_t>(overload_.store_queue_depth)) {
+        slots.waiting() >= static_cast<size_t>(util::kStoreQueueDepth)) {
         shed_queue_full_.add();
         co_return Status::resource_exhausted("store shard queue full");
     }
@@ -101,23 +101,19 @@ DataNode::admit_and_serve(sim::Semaphore& slots, sim::SimTime base_service,
                 static_cast<double>(service) * multiplier);
         }
     }
-    if (ledger != nullptr) {
-        // Everything up to the service start — outage stalls plus the
-        // slot sojourn — is queueing from the caller's perspective.
-        ledger->add(sim::LatSeg::kStoreQueue, sim_.now() - entry);
-    }
+    // Everything up to the service start — outage stalls plus the slot
+    // sojourn — is queueing from the caller's perspective.
+    ledger.add(sim::LatSeg::kStoreQueue, sim_.now() - entry);
     co_await sim::delay(sim_, service);
-    if (ledger != nullptr) {
-        ledger->add(sim::LatSeg::kStoreService, service);
-    }
+    ledger.add(sim::LatSeg::kStoreService, service);
     busy_time_ += service;
     served.add();
     co_return Status::make_ok();
 }
 
 sim::Task<Status>
-DataNode::execute_read(int components, sim::SimTime deadline,
-                       sim::LatencyLedger* ledger)
+DataNode::execute_read(sim::LatencyLedger& ledger, int components,
+                       sim::SimTime deadline)
 {
     sim::SimTime service =
         rng_.uniform_duration(config_.read_service_min,
@@ -129,8 +125,8 @@ DataNode::execute_read(int components, sim::SimTime deadline,
 }
 
 sim::Task<Status>
-DataNode::execute_write(int rows, sim::SimTime deadline,
-                        sim::LatencyLedger* ledger)
+DataNode::execute_write(sim::LatencyLedger& ledger, int rows,
+                        sim::SimTime deadline)
 {
     sim::SimTime service =
         rng_.uniform_duration(config_.write_service_min,

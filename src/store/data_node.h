@@ -8,8 +8,9 @@
  * Admission is always deadline-aware: an op whose remaining budget cannot
  * cover even the minimum service time is rejected, and one that expires
  * while queued is shed when it reaches the head. Under overload control
- * admission is also bounded (store_queue_depth per class) and CoDel-style
- * (work that waited longer than store_sojourn_limit is shed at dequeue),
+ * admission is also bounded (util::kStoreQueueDepth per class) and
+ * CoDel-style (work that waited longer than store_sojourn_limit is shed
+ * at dequeue),
  * and during a FaultPlan outage the shard fails fast instead of stalling
  * admissions. A FaultPlan brownout multiplies service times.
  */
@@ -57,20 +58,17 @@ class DataNode {
      * (a batched path resolve is a single transaction). @p deadline is
      * the op's absolute deadline (-1 = none); expired or shed admissions
      * return DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED without consuming
-     * service capacity.
+     * service capacity. A served transaction stamps its queue sojourn
+     * (kStoreQueue) and service time (kStoreService) into @p ledger,
+     * which must outlive the call.
      */
-    sim::Task<Status> execute_read(int components = 1,
-                                   sim::SimTime deadline = -1,
-                                   sim::LatencyLedger* ledger = nullptr);
+    sim::Task<Status> execute_read(sim::LatencyLedger& ledger,
+                                   int components = 1,
+                                   sim::SimTime deadline = -1);
 
-    /**
-     * Execute one write transaction touching @p rows inode rows. When
-     * @p ledger is non-null, the shard stamps its queue sojourn
-     * (kStoreQueue) and service time (kStoreService) into it; callers
-     * pass a frame-local ledger that outlives the call.
-     */
-    sim::Task<Status> execute_write(int rows = 1, sim::SimTime deadline = -1,
-                                    sim::LatencyLedger* ledger = nullptr);
+    /** Execute one write transaction touching @p rows inode rows. */
+    sim::Task<Status> execute_write(sim::LatencyLedger& ledger, int rows = 1,
+                                    sim::SimTime deadline = -1);
 
     uint64_t reads_served() const { return reads_.value(); }
     uint64_t writes_served() const { return writes_.value(); }
@@ -98,7 +96,7 @@ class DataNode {
                                       sim::SimTime base_service,
                                       sim::Counter& served,
                                       sim::SimTime deadline,
-                                      sim::LatencyLedger* ledger);
+                                      sim::LatencyLedger& ledger);
 
     /**
      * Block at admission while a FaultPlan outage window covers this

@@ -220,7 +220,7 @@ MetadataStore::unlock_exclusive(const LockSet& ids)
 
 sim::Task<void>
 MetadataStore::charge_ns_faults(uint64_t faults_before,
-                                sim::LatencyLedger* ledger)
+                                sim::LatencyLedger& ledger)
 {
     uint64_t faults = tree_.pageins() - faults_before;
     if (faults == 0 || config_.fault_page_cost <= 0) {
@@ -229,9 +229,7 @@ MetadataStore::charge_ns_faults(uint64_t faults_before,
     sim::SimTime cost =
         config_.fault_page_cost * static_cast<sim::SimTime>(faults);
     co_await sim::delay(sim_, cost);
-    if (ledger != nullptr) {
-        ledger->add(sim::LatSeg::kNsFault, cost);
-    }
+    ledger.add(sim::LatSeg::kNsFault, cost);
 }
 
 sim::Task<OpResult>
@@ -239,13 +237,8 @@ MetadataStore::read_op(const Op& op)
 {
     sim::Span txn_span =
         sim_.tracer().start_span("store", "read_txn", op.trace);
-    const bool attr = sim_.attribution();
     sim::LatencyLedger led;
-    sim::SimTime t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-    }
+    co_await network_.transfer(net::LatencyClass::kStore, led);
     OpResult result;
     size_t shard_idx = shard_index_of_parent(op.path);
     result.status = admit(shard_idx, op, txn_span);
@@ -270,27 +263,22 @@ MetadataStore::read_op(const Op& op)
                 co_await locks_.lock_shared(id);
             }
             lock_span.end();
-            if (attr) {
-                led.add(sim::LatSeg::kStoreLockWait,
-                        sim_.now() - lock_start);
-            }
+            led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
             Status st;
             if (op.type == OpType::kStatFs) {
                 // statfs collects one aggregate row from every shard — it
                 // pays a per-shard read, not an O(inodes) scan.
                 st = Status::make_ok();
                 for (auto& shard : shards_) {
-                    st = co_await shard->execute_read(
-                        1, op.deadline, attr ? &led : nullptr);
+                    st = co_await shard->execute_read(led, 1, op.deadline);
                     if (!st.ok()) {
                         break;
                     }
                 }
             } else {
                 DataNode& shard = *shards_[shard_idx];
-                st = co_await shard.execute_read(path::depth(op.path) + 1,
-                                                 op.deadline,
-                                                 attr ? &led : nullptr);
+                st = co_await shard.execute_read(
+                    led, path::depth(op.path) + 1, op.deadline);
             }
             breaker_record(shard_idx, st);
             if (!st.ok()) {
@@ -314,14 +302,10 @@ MetadataStore::read_op(const Op& op)
                 break;
             }
         }
-        co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
+        co_await charge_ns_faults(faults_before, led);
     }
-    t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-        result.ledger = led;
-    }
+    co_await network_.transfer(net::LatencyClass::kStore, led);
+    result.ledger = led;
     co_return result;
 }
 
@@ -330,13 +314,8 @@ MetadataStore::write_op(const Op& op, LockedHook after_lock)
 {
     sim::Span txn_span =
         sim_.tracer().start_span("store", "write_txn", op.trace);
-    const bool attr = sim_.attribution();
     sim::LatencyLedger led;
-    sim::SimTime t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-    }
+    co_await network_.transfer(net::LatencyClass::kStore, led);
     OpResult result;
     size_t shard_idx = shard_index_of_parent(op.path);
     // Admission runs before waiting on subtree flags, acquiring row locks,
@@ -357,80 +336,67 @@ MetadataStore::write_op(const Op& op, LockedHook after_lock)
             co_await locks_.lock_exclusive(id);  // ascending: the lock order
         }
         lock_span.end();
-        if (attr) {
-            led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
-        }
+        led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
         if (after_lock) {
             // The coherence INV/ACK round is attributed here — around the
             // hook await, never inside the coordinator — so it is stamped
             // exactly once per write.
             sim::SimTime coh_start = sim_.now();
             co_await after_lock();
-            if (attr) {
-                led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
-            }
+            led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
         }
         DataNode& shard = *shards_[shard_idx];
         Status st = co_await shard.execute_write(
-            static_cast<int>(lock_ids.size()), op.deadline,
-            attr ? &led : nullptr);
+            led, static_cast<int>(lock_ids.size()), op.deadline);
         breaker_record(shard_idx, st);
         if (st.ok()) {
             result = ns::apply(tree_, op, sim_.now());
             // Faults are charged while the row locks are held: a
             // sub-resident namespace pays its page-ins inside the
             // transaction window.
-            co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
+            co_await charge_ns_faults(faults_before, led);
         } else {
             txn_span.annotate("shed", code_name(st.code()));
             result.status = st;
         }
         unlock_exclusive(lock_ids);
     }
-    t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-        result.ledger = led;
-    }
+    co_await network_.transfer(net::LatencyClass::kStore, led);
+    result.ledger = led;
     co_return result;
 }
 
 sim::Task<Status>
 MetadataStore::quiesce_rows(const std::string& shard_key, int64_t rows,
-                            sim::LatencyLedger* ledger)
+                            sim::LatencyLedger& ledger)
 {
     DataNode& shard = shard_for(shard_key);
     int batch = config_.subtree_batch_size;
     for (int64_t done = 0; done < rows; done += batch) {
         int64_t n = std::min<int64_t>(batch, rows - done);
-        Status st = co_await shard.execute_read(1, -1, ledger);
+        Status st = co_await shard.execute_read(ledger);
         if (!st.ok()) {
             co_return st;
         }
         co_await sim::delay(sim_, config_.subtree_row_read_cost * n);
-        if (ledger != nullptr) {
-            ledger->add(sim::LatSeg::kStoreService,
-                        config_.subtree_row_read_cost * n);
-        }
+        ledger.add(sim::LatSeg::kStoreService,
+                   config_.subtree_row_read_cost * n);
     }
     co_return Status::make_ok();
 }
 
 sim::Task<Status>
 MetadataStore::commit_subtree_batch(const std::string& shard_key, int64_t rows,
-                                    sim::LatencyLedger* ledger)
+                                    sim::LatencyLedger& ledger)
 {
     DataNode& shard = shard_for(shard_key);
-    Status st = co_await shard.execute_write(1, -1, ledger);
+    Status st = co_await shard.execute_write(ledger);
     if (!st.ok()) {
         co_return st;
     }
     co_await sim::delay(sim_, config_.subtree_row_write_cost * rows);
-    if (ledger != nullptr) {
-        ledger->add(sim::LatSeg::kStoreService,
-                    config_.subtree_row_write_cost * rows);
-    }
+    ledger.add(sim::LatSeg::kStoreService,
+               config_.subtree_row_write_cost * rows);
     co_return Status::make_ok();
 }
 
@@ -439,13 +405,8 @@ MetadataStore::subtree_op(Op op, SubtreeExecution exec)
 {
     sim::Span txn_span =
         sim_.tracer().start_span("store", "subtree_txn", op.trace);
-    const bool attr = sim_.attribution();
     sim::LatencyLedger led;
-    sim::SimTime t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-    }
+    co_await network_.transfer(net::LatencyClass::kStore, led);
 
     // Phase 1: set the subtree-lock flag; retry on overlap.
     sim::Span lock_span =
@@ -459,101 +420,60 @@ MetadataStore::subtree_op(Op op, SubtreeExecution exec)
         co_await sim::delay(sim_, kSubtreeRetryDelay);
     }
     lock_span.end();
-    if (attr) {
-        led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
-    }
+    led.add(sim::LatSeg::kStoreLockWait, sim_.now() - lock_start);
 
     OpResult result;
     uint64_t faults_before = tree_.pageins();
     // Sized as the caller: a path it may not traverse fails here with
     // the same status the op itself would return.
     auto size = tree_.subtree_size(op.path, op.user);
-    if (!size.ok()) {
-        locks_.release_subtree(op.path);
-        result.status = size.status();
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            result.ledger = led;
-        }
-        co_return result;
-    }
-    int64_t rows = size.take();
-
-    // λFS: prefix-invalidation round, while the subtree flag blocks
-    // conflicting reads/writes.
-    if (exec.after_lock) {
-        sim::SimTime coh_start = sim_.now();
-        co_await exec.after_lock();
-        if (attr) {
+    Status st = size.status();
+    int64_t rows = 0;
+    if (st.ok()) {
+        rows = size.take();
+        // λFS: prefix-invalidation round, while the subtree flag blocks
+        // conflicting reads/writes.
+        if (exec.after_lock) {
+            sim::SimTime coh_start = sim_.now();
+            co_await exec.after_lock();
             led.add(sim::LatSeg::kCoherence, sim_.now() - coh_start);
         }
+        // Phase 2: quiesce the subtree (ordered lock walk). Subtree ops
+        // carry no deadline (clients never stamp them), but a bounded
+        // shard queue can still reject a batch; abort the protocol and
+        // release the flag.
+        sim::Span quiesce_span = sim_.tracer().start_span(
+            "store", "quiesce", txn_span.context());
+        quiesce_span.annotate("rows", rows);
+        st = co_await quiesce_rows(op.path, rows, led);
     }
-
-    // Phase 2: quiesce the subtree (ordered lock walk). Subtree ops carry
-    // no deadline (clients never stamp them), but a bounded shard queue
-    // can still reject a batch; abort the protocol and release the flag.
-    sim::Span quiesce_span =
-        sim_.tracer().start_span("store", "quiesce", txn_span.context());
-    quiesce_span.annotate("rows", rows);
-    Status quiesced =
-        co_await quiesce_rows(op.path, rows, attr ? &led : nullptr);
-    quiesce_span.end();
-    if (!quiesced.ok()) {
-        locks_.release_subtree(op.path);
-        result.status = quiesced;
-        t0 = sim_.now();
-        co_await network_.transfer(net::LatencyClass::kStore);
-        if (attr) {
-            led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-            result.ledger = led;
-        }
-        co_return result;
-    }
-
-    // Phase 3: batched sub-transactions, each preceded by the calling
-    // NameNode cluster's own batch processing cost.
-    sim::Span commit_span = sim_.tracer().start_span(
-        "store", "commit_batches", txn_span.context());
-    commit_span.annotate("rows", rows);
-    int batch = config_.subtree_batch_size;
-    for (int64_t done = 0; done < rows; done += batch) {
-        int64_t n = std::min<int64_t>(batch, rows - done);
-        if (exec.per_row_nn_cost > 0) {
-            co_await sim::delay(sim_, exec.per_row_nn_cost * n);
-            if (attr) {
+    if (st.ok()) {
+        // Phase 3: batched sub-transactions, each preceded by the calling
+        // NameNode cluster's own batch processing cost.
+        sim::Span commit_span = sim_.tracer().start_span(
+            "store", "commit_batches", txn_span.context());
+        commit_span.annotate("rows", rows);
+        int batch = config_.subtree_batch_size;
+        for (int64_t done = 0; done < rows && st.ok(); done += batch) {
+            int64_t n = std::min<int64_t>(batch, rows - done);
+            if (exec.per_row_nn_cost > 0) {
+                co_await sim::delay(sim_, exec.per_row_nn_cost * n);
                 led.add(sim::LatSeg::kNameNodeCpu, exec.per_row_nn_cost * n);
             }
-        }
-        Status committed =
-            co_await commit_subtree_batch(op.path, n, attr ? &led : nullptr);
-        if (!committed.ok()) {
-            commit_span.end();
-            locks_.release_subtree(op.path);
-            result.status = committed;
-            t0 = sim_.now();
-            co_await network_.transfer(net::LatencyClass::kStore);
-            if (attr) {
-                led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-                result.ledger = led;
-            }
-            co_return result;
+            st = co_await commit_subtree_batch(op.path, n, led);
         }
     }
-    commit_span.end();
-
-    result = ns::apply(tree_, op, sim_.now());
-    // The protocol reports the rows it locked and walked.
-    result.inodes_touched = rows;
-    co_await charge_ns_faults(faults_before, attr ? &led : nullptr);
+    if (st.ok()) {
+        result = ns::apply(tree_, op, sim_.now());
+        // The protocol reports the rows it locked and walked.
+        result.inodes_touched = rows;
+        co_await charge_ns_faults(faults_before, led);
+    } else {
+        result.status = st;
+    }
     locks_.release_subtree(op.path);
-    t0 = sim_.now();
-    co_await network_.transfer(net::LatencyClass::kStore);
-    if (attr) {
-        led.add(sim::LatSeg::kNetStore, sim_.now() - t0);
-        result.ledger = led;
-    }
+    co_await network_.transfer(net::LatencyClass::kStore, led);
+    result.ledger = led;
     co_return result;
 }
 

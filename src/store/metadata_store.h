@@ -96,15 +96,17 @@ class MetadataStore final : public Store {
     sim::Task<OpResult> subtree_op(Op op,
                                    SubtreeExecution exec = {}) override;
 
-    /** One quiesce walk over @p rows rows (exposed for λFS's protocol). */
+    /**
+     * One quiesce walk over @p rows rows; its shard queueing and service
+     * are stamped into @p ledger.
+     */
     sim::Task<Status> quiesce_rows(const std::string& shard_key, int64_t rows,
-                                   sim::LatencyLedger* ledger = nullptr);
+                                   sim::LatencyLedger& ledger);
 
     /** One batched subtree commit of @p rows rows on the owning shard. */
     sim::Task<Status> commit_subtree_batch(const std::string& shard_key,
                                            int64_t rows,
-                                           sim::LatencyLedger* ledger =
-                                               nullptr);
+                                           sim::LatencyLedger& ledger);
 
     // ------------------------------------------------------------------
     // Statistics
@@ -184,7 +186,7 @@ class MetadataStore final : public Store {
      * fully-resident tree never faults, so this awaits nothing then.
      */
     sim::Task<void> charge_ns_faults(uint64_t faults_before,
-                                     sim::LatencyLedger* ledger);
+                                     sim::LatencyLedger& ledger);
 
     sim::Simulation& sim_;
     net::Network& network_;

@@ -43,10 +43,10 @@ struct OverloadControlConfig {
     sim::SimTime op_deadline = sim::sec(8);
     /** CoDel-style sojourn limit in store shard queues. */
     sim::SimTime store_sojourn_limit = sim::msec(500);
-    /** Store shard queue bound per transaction class. */
-    int store_queue_depth = 512;
 };
 
+/** Store shard queue bound per transaction class. */
+inline constexpr int kStoreQueueDepth = 512;
 /** Gateway admission queue bound per deployment. */
 inline constexpr int kGatewayQueueDepth = 256;
 /** CoDel-style sojourn limit in a deployment's gateway queue. */

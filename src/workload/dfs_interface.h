@@ -11,6 +11,7 @@
 
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/op.h"
+#include "src/sim/simulation.h"
 #include "src/sim/task.h"
 #include "src/workload/metrics.h"
 
@@ -75,5 +76,15 @@ class Dfs {
     /** Overload-control tallies (zeros when the system has none). */
     virtual DegradationStats degradation() const { return {}; }
 };
+
+/**
+ * Record one finished driver op of @p type on @p path. While
+ * Simulation::attribution() records, @p result's ledger is finalized
+ * against @p latency, added to @p dfs's attr.* histograms and offered to
+ * the flight recorder with outcome @p ok; otherwise this does nothing.
+ */
+void record_op(sim::Simulation& sim, Dfs& dfs, OpType type,
+               const std::string& path, OpResult& result,
+               sim::SimTime latency, bool ok);
 
 }  // namespace lfs::workload

@@ -43,13 +43,10 @@ sim::Task<void>
 co_client(sim::Simulation& sim, Dfs& dfs, size_t client, OpType op_type,
           int ops, RunState& state)
 {
+    std::string path;  // reused, so the copy allocates once per client
     for (int i = 0; i < ops; ++i) {
         Op op = state.population.make_op(op_type);
-        const bool attr = sim.attribution();
-        std::string path;
-        if (attr) {
-            path = op.path;  // op is moved into execute below
-        }
+        path = op.path;  // op is moved into execute below
         sim::SimTime begin = sim.now();
         OpResult result =
             co_await dfs.client(client).execute(std::move(op));
@@ -61,14 +58,7 @@ co_client(sim::Simulation& sim, Dfs& dfs, size_t client, OpType op_type,
         } else {
             ++state.failed;
         }
-        if (attr) {
-            result.ledger.finalize(latency);
-            dfs.metrics().record_attribution(result.ledger, latency);
-            sim.flight_recorder().observe(
-                sim.now(), op_name(op_type), path,
-                dfs.metrics().system_label(), latency, ok,
-                result.trace_id, result.ledger, &sim.tracer());
-        }
+        record_op(sim, dfs, op_type, path, result, latency, ok);
     }
     state.done.done();
 }

@@ -132,6 +132,7 @@ sim::Task<void>
 SpotifyWorkload::worker(size_t client_index, int vm)
 {
     sim::Rng rng = rng_.fork();
+    std::string path;  // reused, so the copy allocates once per worker
     while (true) {
         co_await work_[static_cast<size_t>(vm)]->acquire();
         if (owed_[static_cast<size_t>(vm)] <= 0) {
@@ -140,11 +141,7 @@ SpotifyWorkload::worker(size_t client_index, int vm)
         --owed_[static_cast<size_t>(vm)];
         Op op = population_.make_op(mix_.sample(rng));
         OpType type = op.type;  // population may rewrite the type
-        const bool attr = sim_.attribution();
-        std::string path;
-        if (attr) {
-            path = op.path;  // op is moved into execute below
-        }
+        path = op.path;         // op is moved into execute below
         sim::SimTime begin = sim_.now();
         OpResult result = co_await dfs_.client(client_index).execute(
             std::move(op));
@@ -152,14 +149,7 @@ SpotifyWorkload::worker(size_t client_index, int vm)
         bool ok = counts_as_completed(result.status);
         dfs_.metrics().record(sim_.now(), type, latency, ok,
                               result.status.code());
-        if (attr) {
-            result.ledger.finalize(latency);
-            dfs_.metrics().record_attribution(result.ledger, latency);
-            sim_.flight_recorder().observe(
-                sim_.now(), op_name(type), path,
-                dfs_.metrics().system_label(), latency, ok,
-                result.trace_id, result.ledger, &sim_.tracer());
-        }
+        record_op(sim_, dfs_, type, path, result, latency, ok);
     }
     --active_workers_;
 }

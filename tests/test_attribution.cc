@@ -2,15 +2,19 @@
  * @file
  * Tests for the latency attribution ledger (DESIGN.md §11): the ledger
  * arithmetic itself, the segments-sum-to-end-to-end invariant across
- * λFS and every baseline, the attribution-off determinism guarantee
- * (enabling attribution never changes simulated results), the
+ * λFS and every baseline, the ledger's independence of the attribution
+ * switch (which arms recording only), the attribution-off determinism
+ * guarantee (enabling it never changes simulated results), the
  * tail-exemplar flight recorder, and the histogram bucket export that
  * scripts/lfs_report.py consumes.
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
@@ -367,21 +371,106 @@ TEST(AttributionInvariant, InfiniCache)
     expect_extended_ops_invariant(sim, fs, "/d", "/d/f", "infinicache");
 }
 
-TEST(AttributionInvariant, OffByDefaultLeavesLedgerEmpty)
+/** Builds a system on @p sim and returns the directory its ops use. */
+using MakeDfs = std::function<std::string(Simulation& sim,
+                                          std::unique_ptr<workload::Dfs>&)>;
+
+/** One op issued and recorded the way the workload drivers do it. */
+Task<void>
+co_recorded(Simulation& sim, workload::Dfs& fs, Op op, TimedResult& out)
+{
+    const OpType type = op.type;
+    const std::string path = op.path;
+    sim::SimTime start = sim.now();
+    out.result = co_await fs.client(0).execute(std::move(op));
+    out.e2e = sim.now() - start;
+    workload::record_op(sim, fs, type, path, out.result, out.e2e,
+                        out.result.status.ok());
+}
+
+/** The finalized ledgers of a create then a stat of one new file. */
+std::vector<LatencyLedger>
+create_then_stat_ledgers(bool attribution, const MakeDfs& make)
 {
     Simulation sim;
-    EXPECT_FALSE(sim.attribution());
-    hopsfs::HopsFsConfig config;
-    config.num_name_nodes = 2;
-    config.num_client_vms = 1;
-    config.clients_per_vm = 2;
-    hopsfs::HopsFs fs(sim, config);
-    ns::UserContext root;
-    fs.authoritative_tree().create_file("/f", root, 0);
-    sim.run_until(sim::sec(1));
-    TimedResult timed = run_timed(sim, fs, 0, make_op(OpType::kStat, "/f"));
-    ASSERT_TRUE(timed.result.status.ok());
-    EXPECT_TRUE(timed.result.ledger.empty());
+    sim.set_attribution(attribution);
+    std::unique_ptr<workload::Dfs> fs;
+    const std::string file = make(sim, fs) + "/n1";
+    sim.run_until(sim::sec(5));
+    std::vector<LatencyLedger> ledgers;
+    for (OpType type : {OpType::kCreateFile, OpType::kStat}) {
+        TimedResult timed;
+        sim::spawn(co_recorded(sim, *fs, make_op(type, file), timed));
+        sim.run_until(sim.now() + sim::sec(60));
+        EXPECT_TRUE(timed.result.status.ok()) << op_name(type);
+        timed.result.ledger.finalize(timed.e2e);
+        ledgers.push_back(timed.result.ledger);
+    }
+    // The switch arms the recording only: attr.* metrics exist iff on.
+    const bool exported = sim.metrics().to_json(sim.now()).find(
+                              "\"attr.") != std::string::npos;
+    EXPECT_EQ(exported, attribution);
+    return ledgers;
+}
+
+void
+expect_stamped_whatever_the_switch(const MakeDfs& make, const char* system)
+{
+    std::vector<LatencyLedger> off = create_then_stat_ledgers(false, make);
+    std::vector<LatencyLedger> on = create_then_stat_ledgers(true, make);
+    ASSERT_EQ(off.size(), on.size());
+    for (size_t op = 0; op < off.size(); ++op) {
+        EXPECT_GT(off[op].total(), off[op].get(LatSeg::kUnattributed))
+            << system << " op " << op << ": nothing stamped";
+        for (size_t i = 0; i < sim::kLatSegCount; ++i) {
+            auto seg = static_cast<LatSeg>(i);
+            EXPECT_EQ(off[op].get(seg), on[op].get(seg))
+                << system << " op " << op << " " << sim::lat_seg_name(seg);
+        }
+    }
+}
+
+TEST(AttributionInvariant, LedgerIsStampedWithTheSwitchOff)
+{
+    expect_stamped_whatever_the_switch(
+        [](Simulation& sim, std::unique_ptr<workload::Dfs>& out) {
+            core::LambdaFsConfig config;
+            config.num_deployments = 2;
+            config.total_vcpus = 32.0;
+            config.function.vcpus = 4.0;
+            config.num_client_vms = 1;
+            config.clients_per_vm = 4;
+            config.prewarm_per_deployment = 1;
+            auto fs = std::make_unique<core::LambdaFs>(sim, config);
+            fs->authoritative_tree().mkdirs("/d", ns::UserContext{}, 0);
+            out = std::move(fs);
+            return std::string("/d");
+        },
+        "lambda-fs");
+    expect_stamped_whatever_the_switch(
+        [](Simulation& sim, std::unique_ptr<workload::Dfs>& out) {
+            hopsfs::HopsFsConfig config;
+            config.num_name_nodes = 2;
+            config.num_client_vms = 1;
+            config.clients_per_vm = 2;
+            auto fs = std::make_unique<hopsfs::HopsFs>(sim, config);
+            fs->authoritative_tree().mkdirs("/d", ns::UserContext{}, 0);
+            out = std::move(fs);
+            return std::string("/d");
+        },
+        "hopsfs");
+    expect_stamped_whatever_the_switch(
+        [](Simulation& sim, std::unique_ptr<workload::Dfs>& out) {
+            indexfs::IndexFsConfig config;
+            config.num_servers = 2;
+            config.num_client_vms = 1;
+            config.clients_per_vm = 2;
+            auto fs = std::make_unique<indexfs::IndexFs>(sim, config);
+            fs->preload("/tt/d0", ns::INodeType::kDirectory);
+            out = std::move(fs);
+            return std::string("/tt/d0");
+        },
+        "indexfs");
 }
 
 // ---------------------------------------------------------------------

@@ -16,8 +16,9 @@
  * deployment's retained-result table makes every executed attempt
  * visible to every resubmission — and never taint.
  *
- * A final regression pins determinism itself: the same seeded scenario
- * run twice must produce byte-identical metrics JSON.
+ * A regression pins determinism itself: the same seeded scenario run
+ * twice must produce byte-identical metrics JSON. The last test pins the
+ * kill schedule's timing: one round per interval, up to its deadline.
  */
 #include <gtest/gtest.h>
 
@@ -360,6 +361,21 @@ TEST(FaultDeterminism, SameSeedProducesIdenticalMetrics)
     // And a different seed must actually change the injected sequence.
     ScenarioRun c = run_scenario(Scenario::kCombined, 8u);
     EXPECT_NE(a.metrics_json, c.metrics_json);
+}
+
+TEST(FaultPlan, KillScheduleFiresAtIntervalUntilDeadline)
+{
+    Simulation sim;
+    sim::FaultPlan plan(sim, /*seed=*/1);
+    std::vector<int> rounds;
+    plan.add_kill_schedule(sim::sec(10), sim::sec(60), [&rounds](int round) {
+        rounds.push_back(round);
+        return round % 2 == 0;  // only even rounds "kill" something
+    });
+    sim.run();
+    EXPECT_EQ(rounds, (std::vector<int>{0, 1, 2, 3, 4, 5}));  // t=10..60
+    EXPECT_EQ(plan.kill_rounds(), 6);
+    EXPECT_EQ(plan.kills(), 3u);
 }
 
 }  // namespace

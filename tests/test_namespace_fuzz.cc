@@ -217,7 +217,7 @@ class ExtendedOracle {
         return it == entries_.end() ? nullptr : &it->second;
     }
 
-    /** Mirror of NamespaceTree::resolve_ex (root user: permissions pass). */
+    /** Mirror of NamespaceTree::resolve_ids_ex (root user: permissions pass). */
     Resolved resolve(const std::string& p, bool follow_final,
                      int depth = 0) const
     {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Remaining small-surface coverage: network round trips and message
- * accounting, logging level gating, and SimTime conversion helpers.
+ * Remaining small-surface coverage: network round trips, message
+ * accounting and ledger-stamped hops, logging level gating, and SimTime
+ * conversion helpers.
  */
 #include <gtest/gtest.h>
 
@@ -58,6 +59,32 @@ TEST(Network, TransfersAdvanceIndependently)
     sim.run();
     EXPECT_EQ(sim.now(), sim::usec(100));
     EXPECT_EQ(network.messages(net::LatencyClass::kCoord), 4u);
+}
+
+Task<void>
+co_stamped_hops(net::Network& network, sim::LatencyLedger& ledger)
+{
+    co_await network.transfer(net::LatencyClass::kTcp, ledger);
+    co_await network.transfer(net::LatencyClass::kHttpGateway, ledger);
+    co_await network.transfer(net::LatencyClass::kStore, ledger);
+    co_await network.transfer(net::LatencyClass::kStore, ledger);
+}
+
+TEST(Network, StampedTransferChargesItsHopToItsClassSegment)
+{
+    Simulation sim;
+    net::NetworkConfig config;
+    config.tcp = {sim::usec(100), sim::usec(100)};
+    config.http = {sim::usec(300), sim::usec(300)};
+    config.store = {sim::usec(40), sim::usec(40)};
+    net::Network network(sim, sim::Rng(3), config);
+    sim::LatencyLedger ledger;
+    sim::spawn(co_stamped_hops(network, ledger));
+    sim.run();
+    EXPECT_EQ(ledger.get(sim::LatSeg::kNetClient), sim::usec(100));
+    EXPECT_EQ(ledger.get(sim::LatSeg::kNetGateway), sim::usec(300));
+    EXPECT_EQ(ledger.get(sim::LatSeg::kNetStore), sim::usec(80));
+    EXPECT_EQ(ledger.total(), sim.now());
 }
 
 TEST(Log, LevelGatingSuppressesBelowThreshold)

@@ -177,7 +177,8 @@ TEST(CircuitBreaker, HalfOpenAdmitsLimitedProbes)
 Task<void>
 co_read_status(store::DataNode& node, sim::SimTime deadline, Status& out)
 {
-    out = co_await node.execute_read(1, deadline);
+    sim::LatencyLedger ledger;
+    out = co_await node.execute_read(ledger, 1, deadline);
 }
 
 TEST(DataNodeOverload, RejectsOpsThatCannotMeetDeadline)
@@ -200,13 +201,14 @@ TEST(DataNodeOverload, BoundedQueueShedsExcess)
     Simulation sim;
     store::DataNodeConfig config;
     config.concurrency = 1;
-    config.read_service_min = sim::msec(1);
-    config.read_service_max = sim::msec(1);
+    // Short enough that the whole queue drains inside the sojourn limit.
+    config.read_service_min = sim::usec(100);
+    config.read_service_max = sim::usec(100);
     util::OverloadControlConfig overload;
     overload.enabled = true;
-    overload.store_queue_depth = 2;
     store::DataNode node(sim, sim::Rng(1), config, overload);
-    std::vector<Status> results(5);
+    constexpr int kExcess = 2;
+    std::vector<Status> results(1 + util::kStoreQueueDepth + kExcess);
     for (auto& st : results) {
         sim::spawn(co_read_status(node, -1, st));
     }
@@ -220,11 +222,12 @@ TEST(DataNodeOverload, BoundedQueueShedsExcess)
             ++shed;
         }
     }
-    // 1 in service + 2 queued; the 2 over the bound are rejected.
-    EXPECT_EQ(ok, 3);
-    EXPECT_EQ(shed, 2);
-    EXPECT_EQ(node.reads_served(), 3u);
-    EXPECT_EQ(node.shed_total(), 2u);
+    // 1 in service + kStoreQueueDepth queued; the excess is rejected.
+    EXPECT_EQ(ok, 1 + util::kStoreQueueDepth);
+    EXPECT_EQ(shed, kExcess);
+    EXPECT_EQ(node.reads_served(),
+              static_cast<uint64_t>(1 + util::kStoreQueueDepth));
+    EXPECT_EQ(node.shed_total(), static_cast<uint64_t>(kExcess));
 }
 
 TEST(DataNodeOverload, SojournOverrunShedsAtDequeue)

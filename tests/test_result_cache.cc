@@ -31,10 +31,8 @@ namespace {
 
 uint64_t g_heap_calls = 0;
 
-}  // namespace
-
 void*
-operator new(std::size_t size)
+counted_malloc(std::size_t size)
 {
     ++g_heap_calls;
     void* p = std::malloc(size);
@@ -44,14 +42,9 @@ operator new(std::size_t size)
     return p;
 }
 
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
+/** Every delete form's body, so no form forwards to another. */
 void
-operator delete(void* p) noexcept
+counted_free(void* p) noexcept
 {
     if (p != nullptr) {
         ++g_heap_calls;
@@ -59,22 +52,42 @@ operator delete(void* p) noexcept
     std::free(p);
 }
 
+}  // namespace
+
+void*
+operator new(std::size_t size)
+{
+    return counted_malloc(size);
+}
+
+void*
+operator new[](std::size_t size)
+{
+    return counted_malloc(size);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    counted_free(p);
+}
+
 void
 operator delete(void* p, std::size_t) noexcept
 {
-    ::operator delete(p);
+    counted_free(p);
 }
 
 void
 operator delete[](void* p) noexcept
 {
-    ::operator delete(p);
+    counted_free(p);
 }
 
 void
 operator delete[](void* p, std::size_t) noexcept
 {
-    ::operator delete(p);
+    counted_free(p);
 }
 
 namespace lfs::core {

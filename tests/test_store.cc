@@ -206,7 +206,8 @@ TEST(LockTable, SubtreeOverlapDetection)
 Task<void>
 co_data_node_read(DataNode& node, int& done)
 {
-    co_await node.execute_read();
+    sim::LatencyLedger ledger;
+    co_await node.execute_read(ledger);
     ++done;
 }
 

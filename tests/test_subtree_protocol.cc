@@ -129,11 +129,13 @@ TEST(SubtreeProtocol, ReadsDuringSubtreeOpSeeBeforeOrAfterNeverHalf)
         std::string target = probe->old_path
                                  ? "/sub/f" + std::to_string(i * 37)
                                  : "/dst/sub/f" + std::to_string(i * 37);
-        sim.schedule(sim::msec(200) * i, [&sim, &fs, i, target,
+        Op stat;
+        stat.type = OpType::kStat;
+        stat.path = target;
+        sim.schedule(sim::msec(200) * i, [&sim, &fs, i, stat,
                                           p = probe.get()] {
             sim::spawn(co_execute_timed(
-                sim, fs.client(static_cast<size_t>(i % 16)),
-                Op{OpType::kStat, target, "", ns::UserContext{}, 0},
+                sim, fs.client(static_cast<size_t>(i % 16)), stat,
                 p->result, p->at));
         });
         probes.push_back(std::move(probe));
