@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
+#include "src/core/partitioning.h"
 #include "src/core/result_cache.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/tree_builder.h"
@@ -160,6 +161,49 @@ BM_CachePutChain(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CachePutChain);
+
+/**
+ * The λFS miss install (NameNode::cache_own_partition_entries): a
+ * depth-8 chain installed entry by entry under the read guard, with
+ * another read's invalidations in the log and every parent owned, so
+ * each entry pays the partition lookup, the guard check and the put.
+ */
+void
+BM_CacheInstallChainGuarded(benchmark::State& state)
+{
+    std::vector<std::vector<ns::INode>> chains;
+    for (int i = 0; i < 256; ++i) {
+        std::vector<ns::INode> chain;
+        ns::INode root;
+        root.id = ns::kRootId;
+        root.type = ns::INodeType::kDirectory;
+        chain.push_back(root);
+        for (int d = 0; d < 8; ++d) {
+            ns::INode inode = make_inode(i * 8 + d + 1);
+            inode.name = "n" + std::to_string((i >> (d % 4)) % (d + 3));
+            inode.type = d < 7 ? ns::INodeType::kDirectory
+                               : ns::INodeType::kFile;
+            chain.push_back(std::move(inode));
+        }
+        chains.push_back(std::move(chain));
+    }
+    core::NamespacePartitioner partitioner(1);
+    auto owns = [&partitioner](uint64_t parent_hash) {
+        return partitioner.deployment_for_parent(parent_hash) == 0;
+    };
+    cache::MetadataCache cache;
+    const auto token = cache.begin_read();
+    for (const char* p : {"/x/y", "/n0/z", "/q", "/n1/n2/w"}) {
+        cache.invalidate(p);
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        cache.put_chain_guarded(chains[i % chains.size()], token, owns);
+        ++i;
+    }
+    cache.end_read(token);
+}
+BENCHMARK(BM_CacheInstallChainGuarded);
 
 void
 BM_CachePrefixInvalidate(benchmark::State& state)

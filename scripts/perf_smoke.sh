@@ -8,10 +8,14 @@
 #      Baselines sit well below (~60% of) the reference container's
 #      measured rates so ordinary machine variance never false-fails —
 #      the gate is tuned to catch the >20% regression class, e.g.
-#      reintroducing a per-event heap allocation.
+#      reintroducing a per-event heap allocation. Its attribution audit
+#      fails the run; its tracing_delta line is a report (the
+#      disabled-tracer gate is the ctest
+#      TracedLambdaFs.TracingOffTouchesNoTracerState).
 #   2. bench_micro_structures cache-walk, namespace, write-path and
-#      result-cache cases (hit/miss/deep/put_chain/prefix-invalidate,
-#      resolve_ids/lookup_child/create, invalidate-with-read-in-flight/
+#      result-cache cases (hit/miss/deep/put_chain/guarded chain
+#      install/prefix-invalidate, resolve_ids/lookup_child/create,
+#      invalidate-with-read-in-flight/
 #      lock-table cycle, lookup/complete/release round): per-op
 #      nanoseconds must stay below the checked-in ceilings — the gate
 #      for the zero-allocation metadata-cache walk and guard log

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <vector>
 
+#include "src/sim/task.h"
 #include "src/util/hash.h"
 #include "src/util/path.h"
 
@@ -25,21 +26,41 @@ struct MetadataCache::Node {
     // Intrusive LRU links (valid only while value is set).
     Node* lru_prev = nullptr;
     Node* lru_next = nullptr;
-
-    ~Node()
-    {
-        for (const ChildTable::Slot& s : children.slots()) {
-            delete s.value;  // empty slots are nullptr; delete is a no-op
-        }
-    }
 };
+
+namespace {
+
+using sim::detail::FramePool;
+
+/** Interned names beyond twice the live nodes that bound_names()
+    tolerates, so a nearly empty cache does not rebuild on every put. */
+constexpr size_t kNameSlack = 64;
+
+}  // namespace
 
 MetadataCache::MetadataCache(CacheConfig config)
     : config_(config), root_(std::make_unique<Node>())
 {
 }
 
-MetadataCache::~MetadataCache() = default;
+MetadataCache::~MetadataCache()
+{
+    release_children(root_.get());
+}
+
+void
+MetadataCache::release_children(Node* node)
+{
+    // A whole trie goes back to the heap rather than the pool, so the
+    // next cache is laid out in its own insertion order.
+    for (const Node::ChildTable::Slot& s : node->children.slots()) {
+        if (s.value != nullptr) {
+            release_children(s.value);
+            s.value->~Node();
+            FramePool::release(s.value, sizeof(Node));
+        }
+    }
+}
 
 MetadataCache::Node*
 MetadataCache::find(std::string_view p) const
@@ -58,22 +79,49 @@ MetadataCache::find(std::string_view p) const
 }
 
 MetadataCache::Node*
-MetadataCache::child_or_create(Node* cur, std::string_view comp)
+MetadataCache::child_or_create(Node* cur, std::string_view comp, uint64_t h)
 {
-    const uint64_t h = fnv1a(comp);
     if (Node* hit = cur->children.find(
             h, [comp](const Node* n) { return n->name == comp; })) {
         return hit;
     }
-    // Intern the spelling so the node's name view stays valid for the
-    // cache's lifetime (NameTable storage addresses are stable).
-    uint32_t id = names_.intern(comp);
-    Node* node = new Node;
+    bound_names();
+    // Intern the spelling so the node's name view stays valid until the
+    // next rebuild, which repoints it (NameTable addresses are stable).
+    uint32_t id = names_.intern(comp, h);
+    // Trie nodes come from the coroutine-frame pool: re-creating an
+    // evicted path reuses a parked block instead of the heap.
+    Node* node = new (FramePool::allocate(sizeof(Node))) Node;
     node->parent = cur;
     node->name_hash = h;
     node->name = names_.name(id);
     cur->children.insert(h, node);
+    ++nodes_;
     return node;
+}
+
+void
+MetadataCache::bound_names()
+{
+    // Every live node holds at most one live name, so this fires only
+    // once dead names outnumber live ones. The rebuild costs O(nodes +
+    // names) and leaves at most nodes_ names, so the names interned since
+    // the last one pay for it: amortized O(1) per node created.
+    if (names_.size() <= 2 * nodes_ + kNameSlack) {
+        return;
+    }
+    ns::NameTable fresh;
+    auto repoint = [&fresh](auto& self, Node* node) -> void {
+        for (const Node::ChildTable::Slot& s : node->children.slots()) {
+            if (Node* child = s.value) {
+                child->name =
+                    fresh.name(fresh.intern(child->name, child->name_hash));
+                self(self, child);
+            }
+        }
+    };
+    repoint(repoint, root_.get());
+    names_ = std::move(fresh);
 }
 
 MetadataCache::Node*
@@ -81,9 +129,17 @@ MetadataCache::find_or_create(std::string_view p)
 {
     Node* cur = root_.get();
     for (std::string_view comp : path::PathView(p)) {
-        cur = child_or_create(cur, comp);
+        cur = child_or_create(cur, comp, fnv1a(comp));
     }
     return cur;
+}
+
+void
+MetadataCache::free_node(Node* node)
+{
+    node->~Node();
+    FramePool::deallocate(node, sizeof(Node));
+    --nodes_;
 }
 
 void
@@ -156,7 +212,7 @@ MetadataCache::prune(Node* node)
            node->children.empty()) {
         Node* parent = node->parent;
         parent->children.erase(node->name_hash, node);
-        delete node;
+        free_node(node);
         node = parent;
     }
 }
@@ -200,7 +256,7 @@ MetadataCache::put_chain(const std::vector<ns::INode>& chain)
     Node* cur = root_.get();
     for (const ns::INode& inode : chain) {
         if (inode.id != ns::kRootId) {
-            cur = child_or_create(cur, inode.name);
+            cur = child_or_create(cur, inode.name, fnv1a(inode.name));
         }
         if (inode.nlink > 1) {
             continue;  // see put(): aliases defeat path-keyed INV
@@ -208,6 +264,58 @@ MetadataCache::put_chain(const std::vector<ns::INode>& chain)
         set_value(cur, inode);
     }
     evict_until_within_budget();
+}
+
+void
+MetadataCache::put_chain_guarded(const std::vector<ns::INode>& chain,
+                                 ReadToken token,
+                                 util::FunctionRef<bool(uint64_t)> owns)
+{
+    assert(chain.empty() || chain.front().id == ns::kRootId);
+    // Installs never log, so the unseen invalidations stay fixed for the
+    // whole chain.
+    const auto unseen = unseen_by(token);
+    // chain[i] sits at depth i. `cur` is the node at depth `at`, created
+    // lazily: as with put_guarded() per entry, only an install creates
+    // nodes.
+    Node* cur = root_.get();
+    size_t at = 0;
+    // path::parent_hash of chain[i]'s path and fnv1a of the path itself,
+    // folded "/" + name per component ("/" is the root's own parent).
+    constexpr uint64_t kRootParent = fnv1a("/");
+    uint64_t parent = kRootParent;
+    uint64_t dir = kFnv1aBasis;
+    probe_hashes_.clear();
+    for (size_t i = 0; i < chain.size(); ++i) {
+        const ns::INode& inode = chain[i];
+        if (i > 0) {
+            parent = i == 1 ? kRootParent : dir;
+            dir = fnv1a_mix(fnv1a_mix(dir, "/"), inode.name);
+            probe_hashes_.push_back(fnv1a(inode.name));
+        }
+        if (!owns(parent)) {
+            continue;
+        }
+        if (log_covers(unseen, i)) {
+            guard_rejections_.add();
+            continue;
+        }
+        if (config_.capacity_bytes == 0 || inode.nlink > 1) {
+            continue;  // see put()
+        }
+        for (; at < i; ++at) {
+            cur = child_or_create(cur, chain[at + 1].name,
+                                  probe_hashes_[at]);
+        }
+        set_value(cur, inode);
+        evict_until_within_budget();
+        if (lru_head_ != cur) {
+            // The install evicted itself (an entry over the whole budget)
+            // and pruning may have freed its path: descend afresh.
+            cur = root_.get();
+            at = 0;
+        }
+    }
 }
 
 std::optional<ns::INode>
@@ -258,7 +366,7 @@ MetadataCache::destroy_subtree(Node* node)
         }
     }
     node->children.clear();  // children already freed above
-    delete node;
+    free_node(node);
     return dropped;
 }
 
@@ -423,27 +531,39 @@ MetadataCache::log_and_find(std::string_view p, bool prefix)
     return cur;
 }
 
-bool
-MetadataCache::invalidated_since(std::string_view p, ReadToken token)
+std::vector<MetadataCache::InvLogEntry>::const_iterator
+MetadataCache::unseen_by(ReadToken token) const
 {
     // The log is ascending by seq: skip what the reader already saw.
-    auto first = std::upper_bound(
+    return std::upper_bound(
         inv_log_.begin() + static_cast<std::ptrdiff_t>(log_head_),
         inv_log_.end(), token,
         [](ReadToken t, const InvLogEntry& e) { return t < e.seq; });
+}
+
+bool
+MetadataCache::invalidated_since(std::string_view p, ReadToken token)
+{
+    const auto first = unseen_by(token);
     if (first == inv_log_.end()) {
         return false;
     }
-    // Equal paths hash equally, so no logged invalidation is missed; a
-    // 64-bit collision can only discard an install, never keep a stale one.
     probe_hashes_.clear();
     for (std::string_view comp : path::PathView(p)) {
         probe_hashes_.push_back(fnv1a(comp));
     }
-    const size_t depth = probe_hashes_.size();
+    return log_covers(first, probe_hashes_.size());
+}
+
+bool
+MetadataCache::log_covers(std::vector<InvLogEntry>::const_iterator first,
+                          size_t depth) const
+{
+    // Equal paths hash equally, so no logged invalidation is missed; a
+    // 64-bit collision can only discard an install, never keep a stale one.
     for (auto it = first; it != inv_log_.end(); ++it) {
-        // An entry matches p itself (point or prefix) or, when it is a
-        // prefix entry, any path strictly under it.
+        // An entry matches the probed path itself (point or prefix) or,
+        // when it is a prefix entry, any path strictly under it.
         if (it->len > depth || (it->len < depth && !it->prefix)) {
             continue;
         }
@@ -453,6 +573,16 @@ MetadataCache::invalidated_since(std::string_view p, ReadToken token)
         }
     }
     return false;
+}
+
+std::vector<ns::INodeId>
+MetadataCache::lru_ids() const
+{
+    std::vector<ns::INodeId> out;
+    for (const Node* n = lru_head_; n != nullptr; n = n->lru_next) {
+        out.push_back(n->value->id);
+    }
+    return out;
 }
 
 double

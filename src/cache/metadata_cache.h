@@ -24,6 +24,13 @@
  * log and descends the trie. The log is fixed-size entries over one
  * reused hash arena, and installs match it by 8-byte hash compares;
  * nothing is interned for an invalidation.
+ *
+ * Trie nodes come from the coroutine-frame pool (sim::detail::FramePool),
+ * so a warm miss that re-creates evicted nodes allocates nothing; a
+ * destroyed cache returns its nodes to the heap. put_chain_guarded()
+ * installs a resolved chain in one descent. The name interner is rebuilt
+ * from the live nodes once dead names outnumber live ones, so churn
+ * cannot grow it without bound.
  */
 #pragma once
 
@@ -36,6 +43,7 @@
 #include "src/namespace/inode.h"
 #include "src/namespace/namespace_tree.h"
 #include "src/sim/stats.h"
+#include "src/util/function_ref.h"
 
 namespace lfs::cache {
 
@@ -91,6 +99,18 @@ class MetadataCache {
      */
     void put_chain(const std::vector<ns::INode>& chain);
 
+    /**
+     * put_guarded() of each entry of the resolved @p chain (root first)
+     * that @p owns accepts, in chain order and with eviction after each
+     * install, exactly as a put_guarded() per entry path would — but in
+     * one descent that hashes each component once. @p owns receives the
+     * entry path's parent hash (path::parent_hash), folded on the way
+     * down.
+     */
+    void put_chain_guarded(const std::vector<ns::INode>& chain,
+                           ReadToken token,
+                           util::FunctionRef<bool(uint64_t)> owns);
+
     /** Look up @p path; refreshes LRU position and hit/miss statistics. */
     std::optional<ns::INode> get(std::string_view path);
 
@@ -114,8 +134,14 @@ class MetadataCache {
     size_t bytes() const { return bytes_; }
     size_t capacity_bytes() const { return config_.capacity_bytes; }
 
-    /** Distinct component names interned so far (diagnostics). */
+    /** Component names interned and not yet dropped (diagnostics). */
     size_t interned_names() const { return names_.size(); }
+
+    /** Trie nodes below the root, valued or not (diagnostics). */
+    size_t nodes() const { return nodes_; }
+
+    /** Ids of the cached inodes, most recently used first (tests). */
+    std::vector<ns::INodeId> lru_ids() const;
 
     uint64_t hits() const { return hits_.value(); }
     uint64_t misses() const { return misses_.value(); }
@@ -159,15 +185,28 @@ class MetadataCache {
      */
     Node* log_and_find(std::string_view path, bool prefix);
     bool invalidated_since(std::string_view path, ReadToken token);
+    /** First log entry a reader holding @p token has not seen. */
+    std::vector<InvLogEntry>::const_iterator unseen_by(ReadToken token) const;
+    /** Whether a log entry from @p first on covers the path whose
+        component hashes are probe_hashes_[0, depth). */
+    bool log_covers(std::vector<InvLogEntry>::const_iterator first,
+                    size_t depth) const;
     /** Drop log entries no reader can still observe (seq <= @p oldest). */
     void prune_log(uint64_t oldest);
 
     Node* find(std::string_view path) const;
-    Node* child_or_create(Node* cur, std::string_view comp);
+    Node* child_or_create(Node* cur, std::string_view comp, uint64_t h);
+    /** Re-intern the live nodes' names into a fresh table once dead
+        names outnumber live ones; repoints every node's view. */
+    void bound_names();
     Node* find_or_create(std::string_view path);
     void set_value(Node* node, const ns::INode& inode);
     void drop_value(Node* node, bool count_as_invalidation);
     void prune(Node* node);
+    /** Destroy @p node and park its block in the frame pool. */
+    void free_node(Node* node);
+    /** Free every node under @p node to the heap (cache teardown). */
+    static void release_children(Node* node);
     void evict_until_within_budget();
     int64_t destroy_subtree(Node* node);
 
@@ -178,8 +217,9 @@ class MetadataCache {
     CacheConfig config_;
     std::unique_ptr<Node> root_;
     /** Component-name interner: stable spellings for trie nodes. Never
-     *  probed on the get path. */
+     *  probed on the get path; rebuilt by bound_names(). */
     ns::NameTable names_;
+    size_t nodes_ = 0;
     size_t entries_ = 0;
     size_t bytes_ = 0;
     Node* lru_head_ = nullptr;
@@ -205,7 +245,8 @@ class MetadataCache {
     std::vector<InvLogEntry> inv_log_;  ///< ascending seq
     size_t log_head_ = 0;
     std::vector<uint64_t> inv_hashes_;  ///< hash arena behind inv_log_
-    std::vector<uint64_t> probe_hashes_;  ///< put_guarded's reused buffer
+    /** Component hashes of the path an install is checking. */
+    std::vector<uint64_t> probe_hashes_;
 };
 
 }  // namespace lfs::cache

@@ -199,7 +199,7 @@ NameNode::handle_read(const Op& op)
         // reads the per-shard counters through the store.
         OpResult result = co_await rt_.store.read_op(op);
         result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-        result.chain.clear();
+        rt_.store.recycle_chain(result.chain);
         co_return result;
     }
     // Only the deployment that owns a path's partition may cache it; an
@@ -239,9 +239,9 @@ NameNode::handle_read(const Op& op)
         cpu_wait += rt_.sim.now() - miss_start;
     }
     result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
-    // The chain was only needed for cache installation; dropping it here
-    // avoids copying it through the RPC reply path and result cache.
-    result.chain.clear();
+    // The chain was only needed for cache installation; handing it back
+    // keeps it off the RPC reply path and lets the next read reuse it.
+    rt_.store.recycle_chain(result.chain);
     co_return result;
 }
 
@@ -254,20 +254,10 @@ NameNode::cache_own_partition_entries(const std::vector<ns::INode>& chain,
     // protocol's deterministic INV targeting: a write invalidates an
     // inode only at deployment_for(path), so that must be the sole
     // deployment ever caching it.
-    std::string& p = own_path_;
-    p.assign("/");
-    for (const ns::INode& inode : chain) {
-        if (inode.id != ns::kRootId) {
-            // p stays normalized, so appending equals path::join.
-            if (p.size() > 1) {
-                p += '/';
-            }
-            p += inode.name;
-        }
-        if (rt_.partitioner.deployment_for(p) == instance_.deployment_id()) {
-            cache_.put_guarded(p, inode, token);
-        }
-    }
+    cache_.put_chain_guarded(chain, token, [this](uint64_t parent_hash) {
+        return rt_.partitioner.deployment_for_parent(parent_hash) ==
+               instance_.deployment_id();
+    });
 }
 
 sim::Task<OpResult>
@@ -301,6 +291,7 @@ NameNode::handle_write(const Op& op)
             cache_own_partition_entries(resolved.chain, token);
         }
         cache_.end_read(token);
+        rt_.store.recycle_chain(resolved.chain);
         if (!resolved.status.ok()) {
             // mkdirs materialises missing ancestors itself (`-p`
             // semantics), so an absent parent is not an error for it —

@@ -187,8 +187,6 @@ class NameNode : public faas::FunctionApp, public coord::CacheMember {
     std::vector<TargetBuffer> free_targets_;
     /** handle_write's parent-resolve kStat Ops, recycled the same way. */
     std::vector<Op> free_resolves_;
-    /** cache_own_partition_entries' path; it never suspends. */
-    std::string own_path_;
     bool in_coordinator_ = false;
     uint64_t block_reports_ = 0;
 };

@@ -18,7 +18,13 @@ int
 NamespacePartitioner::deployment_for(std::string_view p) const
 {
     // Same point as ring_.lookup(path::parent(p)), minus the string.
-    return ring_.lookup_hash(mix64(path::parent_hash(p)));
+    return deployment_for_parent(path::parent_hash(p));
+}
+
+int
+NamespacePartitioner::deployment_for_parent(uint64_t parent_hash) const
+{
+    return ring_.lookup_hash(mix64(parent_hash));
 }
 
 std::vector<int>

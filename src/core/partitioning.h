@@ -29,6 +29,13 @@ class NamespacePartitioner {
     int deployment_for(std::string_view p) const;
 
     /**
+     * deployment_for() of a path whose parent directory hashes to
+     * @p parent_hash (path::parent_hash), for walks that fold it as
+     * they descend.
+     */
+    int deployment_for_parent(uint64_t parent_hash) const;
+
+    /**
      * Deployments that a single-inode write on @p p must invalidate: the
      * partition holding p (keyed by p's parent) and the partition
      * holding p's parent (keyed by the grandparent), deduplicated.

@@ -81,7 +81,7 @@ HopsNameNode::serve_read(const Op& op)
     if (cache_ && result.status.ok() && op.type != OpType::kStatFs) {
         cache_->put_chain(result.chain);
     }
-    result.chain.clear();
+    store_.recycle_chain(result.chain);
     co_return result;
 }
 

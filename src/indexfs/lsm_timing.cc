@@ -169,9 +169,16 @@ LsmStore::transact(const Op& op, LockedHook after_lock)
         }
         result = ns::apply(tree_, op, sim_.now());
     } else {
-        result = co_await apply_and_charge(
-            sim_, tree_, op, lsm_for(op.path),
-            has_dst_path(op.type) ? &lsm_for(op.dst) : nullptr);
+        // apply_and_charge, with a read resolving into a recycled chain
+        // buffer.
+        const size_t orphans = tree_.orphan_count();
+        result = ns::apply(
+            tree_, op, sim_.now(),
+            is_read_op(op.type) ? take_chain() : std::vector<ns::INode>());
+        co_await charge_lsm(op, result, tree_.orphan_count() > orphans,
+                            lsm_for(op.path),
+                            has_dst_path(op.type) ? &lsm_for(op.dst)
+                                                  : nullptr);
     }
     // Open-for-read fetches each symlink hop's row from its own instance.
     if (op.type == OpType::kReadFile && result.status.ok() &&

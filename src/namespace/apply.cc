@@ -36,27 +36,26 @@ take_count(StatusOr<int64_t> got, OpResult& r)
 void
 apply_resolved(const NamespaceTree& tree, const Op& op, OpResult& r)
 {
-    // lstat semantics: a final symlink stats the link itself.
-    auto resolved = tree.resolve(
+    // lstat semantics: a final symlink stats the link itself. The chain
+    // fills the caller's buffer; a failure leaves it empty.
+    r.status = tree.resolve_into(
         op.path, op.user,
-        op.type == OpType::kStat ? Follow::kNoFinal : Follow::kFinal);
-    if (!resolved.ok()) {
-        r.status = resolved.status();
+        op.type == OpType::kStat ? Follow::kNoFinal : Follow::kFinal,
+        r.chain, &r.via_symlink);
+    if (r.status.ok() && op.type == OpType::kReadFile) {
+        const INode& target = r.chain.back();
+        if (!target.is_file()) {
+            r.status = Status::failed_precondition("not a file: " + op.path);
+        } else if (!check_access(target, op.user, Access::kRead)) {
+            r.status = Status::permission_denied("no read on " + op.path);
+        }
+    }
+    if (!r.status.ok()) {
+        r.chain.clear();
+        r.via_symlink = false;
         return;
     }
-    if (op.type == OpType::kReadFile) {
-        if (!resolved->target().is_file()) {
-            r.status = Status::failed_precondition("not a file: " + op.path);
-            return;
-        }
-        if (!check_access(resolved->target(), op.user, Access::kRead)) {
-            r.status = Status::permission_denied("no read on " + op.path);
-            return;
-        }
-    }
-    r.inode = resolved->target();
-    r.chain = std::move(resolved->chain);
-    r.via_symlink = resolved->via_symlink;
+    r.inode = r.chain.back();
     if (op.type == OpType::kLs) {
         auto listed = tree.list_resolved(r.inode, op.path, op.user);
         if (!listed.ok()) {
@@ -96,9 +95,11 @@ apply_subtree(NamespaceTree& tree, const Op& op, sim::SimTime now,
 }  // namespace
 
 OpResult
-apply(NamespaceTree& tree, const Op& op, sim::SimTime now)
+apply(NamespaceTree& tree, const Op& op, sim::SimTime now,
+      std::vector<INode> chain)
 {
     OpResult r;
+    r.chain = std::move(chain);
     switch (op.type) {
       case OpType::kReadFile:
       case OpType::kStat:

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/op.h"
@@ -24,9 +25,11 @@ namespace lfs::ns {
  * the root inode and inodes_touched = stats.inodes; deletes, session
  * closes and GC report the inodes they reclaimed, and subtree ops the
  * rows of their subtree. kCount and other non-op types fail with
- * INVALID_ARGUMENT.
+ * INVALID_ARGUMENT. A resolved chain fills @p chain's capacity, which
+ * rides in the result either way (a store's recycled buffer).
  */
-OpResult apply(NamespaceTree& tree, const Op& op, sim::SimTime now);
+OpResult apply(NamespaceTree& tree, const Op& op, sim::SimTime now,
+               std::vector<INode> chain = {});
 
 /**
  * Answer a read-type @p op from a metadata cache entry or IndexFS client

@@ -312,20 +312,33 @@ StatusOr<ResolvedPath>
 NamespaceTree::resolve(std::string_view p, const UserContext& user,
                        Follow follow) const
 {
+    ResolvedPath out;
+    Status st = resolve_into(p, user, follow, out.chain, &out.via_symlink);
+    if (!st.ok()) {
+        return st;
+    }
+    return out;
+}
+
+Status
+NamespaceTree::resolve_into(std::string_view p, const UserContext& user,
+                            Follow follow, std::vector<INode>& chain,
+                            bool* via_symlink) const
+{
     // The scope defers eviction, so every id on the chain stays resident
     // until it is materialized.
     OpScope scope(this);
     IdChain ids;
-    ResolvedPath out;
-    Status st = resolve_ids(p, user, follow, &ids, &out.via_symlink);
+    chain.clear();
+    Status st = resolve_ids(p, user, follow, &ids, via_symlink);
     if (!st.ok()) {
         return st;
     }
-    out.chain.reserve(ids.size());
+    chain.reserve(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-        out.chain.push_back(materialize(*resident_ptr(ids[i])));
+        chain.push_back(materialize(*resident_ptr(ids[i])));
     }
-    return out;
+    return st;
 }
 
 Status

@@ -168,6 +168,16 @@ class NamespaceTree {
                                    Follow follow = Follow::kFinal) const;
 
     /**
+     * resolve() into @p chain, reusing its capacity: the store's read
+     * path recycles chain buffers, so a warm read resolves without
+     * allocating one (DESIGN.md §10). @p chain is cleared first and left
+     * empty on failure; @p via_symlink (optional) as for resolve_ids.
+     */
+    Status resolve_into(std::string_view path, const UserContext& user,
+                        Follow follow, std::vector<INode>& chain,
+                        bool* via_symlink = nullptr) const;
+
+    /**
      * Id-centric resolve: identical semantics (permission checks,
      * symlink follows, error statuses) but fills @p out with the inode
      * ids of the chain instead of materializing INode views — the

@@ -98,6 +98,19 @@ class FramePool {
     }
 
     /**
+     * Return a block from allocate(@p n) straight to the heap instead of
+     * parking it. For an owner that frees a whole structure at once:
+     * parked blocks come back in LIFO order, so the next structure built
+     * from them would be laid out in the old one's teardown order.
+     */
+    static void
+    release(void* p, size_t n) noexcept
+    {
+        ::operator delete(p, n > kMaxPooled ? n
+                                            : (size_class(n) + 1) * kGranule);
+    }
+
+    /**
      * Return every parked frame to the heap. A Simulation calls this on
      * teardown, so each run starts from an empty pool and its frame
      * allocations depend on that run alone, as with plain new/delete.

@@ -89,6 +89,7 @@ Tracer::resolve(size_t index, uint64_t span_id)
     if (index >= ring_.size() || ring_[index].span_id != span_id) {
         return nullptr;  // slot was recycled by the ring
     }
+    ++slot_writes_;  // every caller writes the slot it resolves
     return &ring_[index];
 }
 
@@ -105,6 +106,7 @@ Tracer::open(const char* component, const char* name, uint64_t trace_id,
         ++spans_dropped_;
     }
     ++spans_started_;
+    ++slot_writes_;
     Record& r = ring_[index];
     uint64_t span_id = next_span_id_++;
     r.trace_id = trace_id;
@@ -124,6 +126,16 @@ Tracer::end_span(size_t index, uint64_t span_id)
     if (Record* r = resolve(index, span_id)) {
         r->end = sim_.now();
     }
+}
+
+size_t
+Tracer::heap_bytes() const
+{
+    size_t bytes = ring_.capacity() * sizeof(Record);
+    for (const Record& r : ring_) {
+        bytes += r.annotations.capacity() * sizeof(r.annotations[0]);
+    }
+    return bytes;
 }
 
 size_t

@@ -195,6 +195,16 @@ class Tracer {
     /** Spans overwritten because the ring wrapped. */
     uint64_t spans_dropped() const { return spans_dropped_; }
 
+    /**
+     * Writes into ring slots since construction: span opens, ends and
+     * annotations. A run with tracing off must leave it at 0 (the
+     * structural form of "disabled tracing is one branch").
+     */
+    uint64_t slot_writes() const { return slot_writes_; }
+
+    /** Heap bytes the tracer holds: the ring and annotation storage. */
+    size_t heap_bytes() const;
+
     /** Spans currently held in the ring. */
     size_t recorded() const;
 
@@ -267,6 +277,7 @@ class Tracer {
     uint64_t next_span_id_ = 1;
     uint64_t spans_started_ = 0;
     uint64_t spans_dropped_ = 0;
+    uint64_t slot_writes_ = 0;
 };
 
 }  // namespace lfs::sim

@@ -289,7 +289,7 @@ MetadataStore::read_op(const Op& op)
                 result.status = st;
                 break;
             }
-            result = ns::apply(tree_, op, sim_.now());
+            result = ns::apply(tree_, op, sim_.now(), take_chain());
             for (ns::INodeId id : lock_ids) {
                 locks_.unlock_shared(id);
             }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/namespace/namespace_tree.h"
 #include "src/namespace/op.h"
@@ -70,6 +71,20 @@ class Store {
 
     /** Untimed preload of an existing path (workload setup). */
     virtual void preload(const std::string& p, ns::INodeType type);
+
+    /**
+     * Hand back a read result's consumed @p chain (left empty): a later
+     * read resolves into its capacity instead of allocating a fresh one
+     * (DESIGN.md §10).
+     */
+    void recycle_chain(std::vector<ns::INode>& chain);
+
+  protected:
+    /** An empty chain buffer, recycled by recycle_chain() if any. */
+    std::vector<ns::INode> take_chain();
+
+  private:
+    std::vector<std::vector<ns::INode>> free_chains_;
 };
 
 /**

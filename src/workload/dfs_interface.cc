@@ -2,6 +2,22 @@
 
 namespace lfs::workload {
 
+bool
+counts_as_completed(const Status& status)
+{
+    switch (status.code()) {
+      case Code::kOk:
+      case Code::kNotFound:
+      case Code::kAlreadyExists:
+      case Code::kFailedPrecondition:
+      case Code::kPermissionDenied:
+      case Code::kInvalidArgument:
+        return true;
+      default:
+        return false;
+    }
+}
+
 void
 record_op(sim::Simulation& sim, Dfs& dfs, OpType type,
           const std::string& path, OpResult& result, sim::SimTime latency,

@@ -78,6 +78,15 @@ class Dfs {
 };
 
 /**
+ * Whether a driver counts an op that ended with @p status as completed:
+ * every definite answer from the file system (OK, NOT_FOUND,
+ * ALREADY_EXISTS, FAILED_PRECONDITION, PERMISSION_DENIED and
+ * INVALID_ARGUMENT) is a completed round trip; timeouts, shedding and
+ * unavailability are failures.
+ */
+bool counts_as_completed(const Status& status);
+
+/**
  * Record one finished driver op of @p type on @p path. While
  * Simulation::attribution() records, @p result's ledger is finalized
  * against @p latency, added to @p dfs's attr.* histograms and offered to

@@ -25,20 +25,6 @@ struct RunState {
     int64_t failed = 0;
 };
 
-bool
-counts_as_completed(const Status& status)
-{
-    switch (status.code()) {
-      case Code::kOk:
-      case Code::kNotFound:
-      case Code::kAlreadyExists:
-      case Code::kFailedPrecondition:
-        return true;
-      default:
-        return false;
-    }
-}
-
 sim::Task<void>
 co_client(sim::Simulation& sim, Dfs& dfs, size_t client, OpType op_type,
           int ops, RunState& state)

@@ -14,23 +14,6 @@ constexpr double kParetoAlpha = 2.0;
 /** Where in the run the forced peak epoch starts (t = 200 of 300 s). */
 constexpr double kForcePeakAtFraction = 0.66;
 
-/** User-level outcomes still count as completed round trips. */
-bool
-counts_as_completed(const Status& status)
-{
-    switch (status.code()) {
-      case Code::kOk:
-      case Code::kNotFound:
-      case Code::kAlreadyExists:
-      case Code::kFailedPrecondition:
-      case Code::kPermissionDenied:
-      case Code::kInvalidArgument:
-        return true;
-      default:
-        return false;
-    }
-}
-
 }  // namespace
 
 SpotifyWorkload::SpotifyWorkload(sim::Simulation& sim, Dfs& dfs,

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,42 @@ TEST(MetadataCache, ZeroCapacityDisablesCaching)
     cache.put("/f", make_inode(1, "f"));
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_FALSE(cache.get("/f").has_value());
+}
+
+TEST(MetadataCache, InternerStaysBoundedUnderChurn)
+{
+    // 1,000 entries stay live while 100,000 distinct paths are put and
+    // invalidated: the interner is rebuilt from the live nodes whenever
+    // dead names outnumber live ones, so it tracks the trie, not the
+    // history (without the rebuild it ends near 101,000 names).
+    MetadataCache cache;
+    for (int i = 0; i < 1000; ++i) {
+        cache.put("/live/d" + std::to_string(i % 10) + "/k" +
+                      std::to_string(i),
+                  make_inode(static_cast<ns::INodeId>(i + 2),
+                             "k" + std::to_string(i)));
+    }
+    size_t peak = 0;
+    for (int i = 0; i < 100000; ++i) {
+        const std::string p = "/churn/f" + std::to_string(i);
+        cache.put(p, make_inode(static_cast<ns::INodeId>(i + 5000),
+                                path::basename(p)));
+        cache.invalidate(p);
+        peak = std::max(peak, cache.interned_names());
+    }
+    EXPECT_EQ(cache.entries(), 1000u);
+    EXPECT_EQ(cache.nodes(), 1011u);  // live, its 10 dirs and 1,000 keys
+    EXPECT_LE(peak, 2 * cache.nodes() + 128);
+    EXPECT_LE(cache.interned_names(), 2 * cache.nodes() + 128);
+    // Every surviving node's name was repointed into the rebuilt table.
+    for (int i = 0; i < 1000; i += 37) {
+        auto got = cache.get("/live/d" + std::to_string(i % 10) + "/k" +
+                             std::to_string(i));
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->name, "k" + std::to_string(i));
+    }
+    cache.invalidate_prefix("/live");
+    EXPECT_EQ(cache.nodes(), 0u);
 }
 
 TEST(MetadataCache, HitRate)

@@ -18,12 +18,15 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/cache/metadata_cache.h"
+#include "src/util/hash.h"
+#include "src/util/path.h"
 
 namespace lfs {
 namespace {
@@ -115,6 +118,17 @@ chain_for(const std::string& path, uint64_t version)
         begin = end + 1;
     }
     return chain;
+}
+
+/** Components of @p path, shallowest first ("/a/b" -> a, b). */
+std::vector<std::string>
+chain_names(const std::string& path)
+{
+    std::vector<std::string> out;
+    for (const ns::INode& inode : chain_for(path, 0)) {
+        out.push_back(inode.name);
+    }
+    return out;
 }
 
 /** Prefixes of @p path, shallowest first ("/a/b/x" -> /a, /a/b, /a/b/x). */
@@ -480,6 +494,151 @@ TEST(CacheGuardReference, DecisionsMatchPlainModel)
         EXPECT_GT(decisions, 500u) << "seed " << seed;
         EXPECT_GT(rejections, 20u) << "seed " << seed;
         EXPECT_LT(rejections, decisions) << "seed " << seed;
+    }
+}
+
+// ----------------------------------------------------------------------
+// One-descent guarded chain install against per-entry put_guarded
+// ----------------------------------------------------------------------
+
+/**
+ * The per-entry install put_chain_guarded() replaces: rebuild each
+ * entry's path, ask the partition predicate about its parent hash, and
+ * put_guarded() it from the root.
+ */
+void
+install_per_entry(cache::MetadataCache& cache,
+                  const std::vector<ns::INode>& chain,
+                  cache::MetadataCache::ReadToken token,
+                  const std::function<bool(uint64_t)>& owns)
+{
+    std::string p = "/";
+    for (const ns::INode& inode : chain) {
+        if (inode.id != ns::kRootId) {
+            p = path::join(p, inode.name);
+        }
+        if (owns(path::parent_hash(p))) {
+            cache.put_guarded(p, inode, token);
+        }
+    }
+}
+
+/** Everything observable about @p a and @p b must agree. */
+void
+expect_same_cache(cache::MetadataCache& a, cache::MetadataCache& b,
+                  const std::vector<std::string>& probes,
+                  const std::string& where)
+{
+    ASSERT_EQ(a.entries(), b.entries()) << where;
+    ASSERT_EQ(a.bytes(), b.bytes()) << where;
+    ASSERT_EQ(a.nodes(), b.nodes()) << where;
+    ASSERT_EQ(a.evictions(), b.evictions()) << where;
+    ASSERT_EQ(a.guard_rejections(), b.guard_rejections()) << where;
+    ASSERT_EQ(a.lru_ids(), b.lru_ids()) << where;
+    for (const std::string& p : probes) {
+        ASSERT_EQ(a.contains(p), b.contains(p)) << where << " " << p;
+    }
+}
+
+TEST(CacheChainInstall, OneDescentMatchesPerEntryPutGuarded)
+{
+    const std::vector<std::string> comps = {"a", "b", "cc", "data"};
+    std::vector<std::string> probes = {"/"};
+    for (const std::string& p : path_universe()) {
+        probes.push_back(p);
+    }
+    // One entry costs 96 bytes plus its name (ns::INode::metadata_bytes):
+    // 60 is smaller than any entry, 400 holds three or four.
+    for (size_t budget : {size_t{0}, size_t{60}, size_t{400}, size_t{4000},
+                          size_t{1} << 30}) {
+        for (uint64_t seed = 1; seed <= 6; ++seed) {
+            Rng rng(seed * 104729 + budget);
+            // Each "deployment" owns the parents whose hash lands in its
+            // third of the ring, so chains interleave owned and foreign
+            // ancestors.
+            const uint64_t mine = seed % 3;
+            auto owns = [mine](uint64_t parent_hash) {
+                return mix64(parent_hash) % 3 != (mine + 1) % 3;
+            };
+            cache::MetadataCache one(cache::CacheConfig{budget});
+            cache::MetadataCache ref(cache::CacheConfig{budget});
+            std::vector<uint64_t> tokens;
+            uint64_t installs = 0;
+            uint64_t id = 100;
+            for (int step = 0; step < 1500; ++step) {
+                const std::string where = "budget " +
+                                          std::to_string(budget) +
+                                          " seed " + std::to_string(seed) +
+                                          " step " + std::to_string(step);
+                const uint64_t roll = rng.next(100);
+                const int depth = 1 + static_cast<int>(rng.next(4));
+                std::string p;
+                for (int d = 0; d < depth; ++d) {
+                    p += "/" + comps[rng.next(comps.size())];
+                }
+                if (roll < 15) {
+                    const uint64_t t = one.begin_read();
+                    ASSERT_EQ(t, ref.begin_read());
+                    tokens.push_back(t);
+                } else if (roll < 25 && !tokens.empty()) {
+                    const size_t i = rng.next(tokens.size());
+                    one.end_read(tokens[i]);
+                    ref.end_read(tokens[i]);
+                    tokens.erase(tokens.begin() + static_cast<long>(i));
+                } else if (roll < 40) {
+                    one.invalidate(p);
+                    ref.invalidate(p);
+                } else if (roll < 45) {
+                    const std::string prefix = path::parent(p);
+                    one.invalidate_prefix(prefix);
+                    ref.invalidate_prefix(prefix);
+                } else if (roll < 50) {
+                    const ns::INode v = make_inode(id++, path::basename(p));
+                    one.put(p, v);
+                    ref.put(p, v);
+                } else if (roll < 55) {
+                    (void)one.get(p);
+                    (void)ref.get(p);
+                } else {
+                    // A resolved chain, root first. Installs happen while
+                    // their read is in flight, as every caller does.
+                    const uint64_t token = tokens.empty()
+                                               ? one.begin_read()
+                                               : tokens[rng.next(
+                                                     tokens.size())];
+                    if (tokens.empty()) {
+                        ASSERT_EQ(token, ref.begin_read());
+                        tokens.push_back(token);
+                    }
+                    std::vector<ns::INode> chain;
+                    ns::INode root;
+                    root.id = ns::kRootId;
+                    root.type = ns::INodeType::kDirectory;
+                    chain.push_back(root);
+                    for (const std::string& name : chain_names(p)) {
+                        ns::INode inode = make_inode(id++, name);
+                        inode.nlink = rng.next(10) == 0 ? 2 : 1;
+                        chain.push_back(std::move(inode));
+                    }
+                    one.put_chain_guarded(chain, token, owns);
+                    install_per_entry(ref, chain, token, owns);
+                    ++installs;
+                }
+                expect_same_cache(one, ref, probes, where);
+            }
+            for (uint64_t t : tokens) {
+                one.end_read(t);
+                ref.end_read(t);
+            }
+            EXPECT_GT(installs, 500u);
+            if (budget == (size_t{1} << 30)) {
+                EXPECT_GT(one.entries(), 0u) << "seed " << seed;
+                EXPECT_GT(one.guard_rejections(), 0u) << "seed " << seed;
+            }
+            if (budget == 60 || budget == 400) {
+                EXPECT_GT(one.evictions(), 0u) << "seed " << seed;
+            }
+        }
     }
 }
 

@@ -341,6 +341,8 @@ struct TracedRun {
     std::string trace_json;
     std::string metrics_json;
     uint64_t spans = 0;
+    uint64_t slot_writes = 0;
+    size_t tracer_heap_bytes = 0;
     double ops_per_sec = 0.0;
     int64_t completed = 0;
 };
@@ -379,6 +381,8 @@ run_traced_lambda(bool tracing)
     run.trace_json = sim.tracer().chrome_trace_json();
     run.metrics_json = sim.metrics().to_json(sim.now());
     run.spans = sim.tracer().spans_started();
+    run.slot_writes = sim.tracer().slot_writes();
+    run.tracer_heap_bytes = sim.tracer().heap_bytes();
     run.ops_per_sec = result.ops_per_sec;
     run.completed = result.completed;
     return run;
@@ -463,6 +467,25 @@ TEST(TracedLambdaFs, DisablingTracingChangesNoResults)
     EXPECT_EQ(untraced.spans, 0u);
     EXPECT_EQ(traced.completed, untraced.completed);
     EXPECT_DOUBLE_EQ(traced.ops_per_sec, untraced.ops_per_sec);
+}
+
+/**
+ * The disabled-tracer gate, without a clock: a λFS run with tracing off
+ * opens no span, writes no ring slot and leaves the tracer holding no
+ * heap, so every start_span on the op path took its one branch. (The
+ * traced twin shows the counters do count.)
+ */
+TEST(TracedLambdaFs, TracingOffTouchesNoTracerState)
+{
+    TracedRun untraced = run_traced_lambda(false);
+    EXPECT_GT(untraced.completed, 0);
+    EXPECT_EQ(untraced.spans, 0u);
+    EXPECT_EQ(untraced.slot_writes, 0u);
+    EXPECT_EQ(untraced.tracer_heap_bytes, 0u);
+
+    TracedRun traced = run_traced_lambda(true);
+    EXPECT_GT(traced.slot_writes, traced.spans);
+    EXPECT_GT(traced.tracer_heap_bytes, 0u);
 }
 
 }  // namespace

@@ -213,6 +213,29 @@ TEST(Microbench, ClosedLoopThroughputMatchesLatency)
     EXPECT_NEAR(result.mean_latency_ms, 1.0, 0.2);
 }
 
+TEST(Drivers, CompletedMeansADefiniteAnswerFromTheFileSystem)
+{
+    // One set for every driver: an answer the file system gave counts,
+    // a fault on the way to it does not.
+    std::map<Code, bool> expected = {
+        {Code::kOk, true},
+        {Code::kNotFound, true},
+        {Code::kAlreadyExists, true},
+        {Code::kPermissionDenied, true},
+        {Code::kInvalidArgument, true},
+        {Code::kFailedPrecondition, true},
+        {Code::kDeadlineExceeded, false},
+        {Code::kUnavailable, false},
+        {Code::kAborted, false},
+        {Code::kResourceExhausted, false},
+        {Code::kInternal, false},
+    };
+    for (const auto& [code, completed] : expected) {
+        EXPECT_EQ(counts_as_completed(Status(code, "x")), completed)
+            << code_name(code);
+    }
+}
+
 TEST(TreeTest, WritePhaseThenReadPhase)
 {
     Simulation sim;

@@ -12,7 +12,9 @@
  *  - a warm λFS stat/create/delete loop never asks the heap for more than
  *    the frame pool's largest class (FramePool::kMaxPooled): a coroutine
  *    frame that outgrows it (NameNode::handle's sits close) would cost a
- *    heap allocation on every op without anything failing.
+ *    heap allocation on every op without anything failing;
+ *  - the same loop's cache misses allocate nothing at all: store reads
+ *    resolve into recycled chain buffers and trie nodes are pooled.
  *
  * The proof instruments the global allocator, so this test lives in its
  * own binary (one executable per test_*.cc). Component names stay within
@@ -242,32 +244,60 @@ run_op_cycles(sim::Simulation& sim, core::LambdaFs& fs, int cycles,
     ASSERT_TRUE(done);
 }
 
-TEST(WritePathZeroAlloc, LambdaFsOpFramesFitTheFramePool)
+core::LambdaFsConfig
+op_cycle_config()
 {
-    sim::Simulation sim;
     core::LambdaFsConfig config;
     config.total_vcpus = 16.0;
     config.function.vcpus = 2.0;
     config.num_deployments = 2;
     config.num_client_vms = 1;
     config.clients_per_vm = 1;
-    core::LambdaFs fs(sim, config);
-    fs.preload("/w", ns::INodeType::kDirectory);
-    fs.preload("/w/g", ns::INodeType::kFile);
-    sim.run_until(sim::sec(5));
+    return config;
+}
+
+/** A one-client λFS over /w and /w/g, warmed by 50 op cycles. */
+struct WarmOpCycles {
+    sim::Simulation sim;
+    core::LambdaFs fs{sim, op_cycle_config()};
     int failures = 0;
     int hits = 0;
-    // Warm: open the TCP connection, fill the caches and every pool.
-    run_op_cycles(sim, fs, 50, failures, hits);
 
+    WarmOpCycles()
+    {
+        fs.preload("/w", ns::INodeType::kDirectory);
+        fs.preload("/w/g", ns::INodeType::kFile);
+        sim.run_until(sim::sec(5));
+        // Warm: open the TCP connection, fill the caches and every pool.
+        run_op_cycles(sim, fs, 50, failures, hits);
+        hits = 0;
+    }
+};
+
+TEST(WritePathZeroAlloc, LambdaFsOpFramesFitTheFramePool)
+{
+    WarmOpCycles rig;
     const uint64_t before = g_unpooled_allocations;
-    hits = 0;
-    run_op_cycles(sim, fs, 200, failures, hits);
+    run_op_cycles(rig.sim, rig.fs, 200, rig.failures, rig.hits);
     EXPECT_EQ(g_unpooled_allocations - before, 0u)
         << "an op took a coroutine frame (or other block) larger than "
            "FramePool::kMaxPooled from the heap";
-    EXPECT_EQ(failures, 0);
-    EXPECT_GT(hits, 100);
+    EXPECT_EQ(rig.failures, 0);
+    EXPECT_GT(rig.hits, 100);
+}
+
+TEST(WritePathZeroAlloc, WarmLambdaFsMissLoopAllocatesNothing)
+{
+    // Each cycle's second stat misses (the create invalidated /w/f) and
+    // reads the store: its chain fills a recycled buffer, and the trie
+    // node the delete freed comes back from the frame pool.
+    WarmOpCycles rig;
+    const uint64_t before = g_allocations;
+    run_op_cycles(rig.sim, rig.fs, 200, rig.failures, rig.hits);
+    EXPECT_EQ(g_allocations - before, 0u)
+        << "a warm stat/create/stat/delete cycle allocated";
+    EXPECT_EQ(rig.failures, 0);
+    EXPECT_GT(rig.hits, 100);
 }
 
 }  // namespace
