@@ -74,8 +74,10 @@ class MetadataCache {
      * this cache), commit, and ack — and the late install would then
      * resurrect the pre-write value, serving stale metadata forever
      * after. Guarded installs close the gap: take a token before issuing
-     * the store read, install through put_guarded(), and any
-     * invalidation that arrived in between wins over the install.
+     * the store read, install through put_chain_guarded() (the
+     * NameNode's install) or put_guarded() (its per-entry form, the
+     * tests' reference), and any invalidation that arrived in between
+     * wins over the install.
      */
     using ReadToken = uint64_t;
 
@@ -103,9 +105,9 @@ class MetadataCache {
      * put_guarded() of each entry of the resolved @p chain (root first)
      * that @p owns accepts, in chain order and with eviction after each
      * install, exactly as a put_guarded() per entry path would — but in
-     * one descent that hashes each component once. @p owns receives the
-     * entry path's parent hash (path::parent_hash), folded on the way
-     * down.
+     * one descent that folds each component's probe hash and the running
+     * parent-path hash. @p owns receives the entry path's parent hash
+     * (path::parent_hash), folded on the way down.
      */
     void put_chain_guarded(const std::vector<ns::INode>& chain,
                            ReadToken token,

@@ -62,8 +62,9 @@ IndexFsServer::serve(const Op& op)
     sim::SimTime lsm_start = sim_.now();
     IndexFsServer* dst =
         has_dst_path(op.type) ? &fs_.server_for(op.dst) : nullptr;
+    std::vector<ns::INode> chain;
     OpResult result = co_await apply_and_charge(
-        sim_, fs_.authoritative_tree(), op, lsm_,
+        sim_, fs_.authoritative_tree(), op, chain, lsm_,
         dst != nullptr ? &dst->lsm() : nullptr,
         dst != nullptr && dst != this ? &fs_.network() : nullptr);
     // LSM-tree work (memtable, WAL, compaction stalls) is the

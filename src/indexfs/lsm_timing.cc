@@ -96,10 +96,11 @@ charge_lsm(const Op& op, const OpResult& r, bool orphaned,
 
 sim::Task<OpResult>
 apply_and_charge(sim::Simulation& sim, ns::NamespaceTree& tree, const Op& op,
-                 lsm::LsmTree& home, lsm::LsmTree* dst, net::Network* dst_hop)
+                 std::vector<ns::INode>& chain, lsm::LsmTree& home,
+                 lsm::LsmTree* dst, net::Network* dst_hop)
 {
     const size_t orphans = tree.orphan_count();
-    OpResult r = ns::apply(tree, op, sim.now());
+    OpResult r = ns::apply(tree, op, sim.now(), std::move(chain));
     co_await charge_lsm(op, r, tree.orphan_count() > orphans, home, dst,
                         dst_hop);
     co_return r;
@@ -169,16 +170,11 @@ LsmStore::transact(const Op& op, LockedHook after_lock)
         }
         result = ns::apply(tree_, op, sim_.now());
     } else {
-        // apply_and_charge, with a read resolving into a recycled chain
-        // buffer.
-        const size_t orphans = tree_.orphan_count();
-        result = ns::apply(
-            tree_, op, sim_.now(),
-            is_read_op(op.type) ? take_chain() : std::vector<ns::INode>());
-        co_await charge_lsm(op, result, tree_.orphan_count() > orphans,
-                            lsm_for(op.path),
-                            has_dst_path(op.type) ? &lsm_for(op.dst)
-                                                  : nullptr);
+        std::vector<ns::INode> chain =
+            is_read_op(op.type) ? take_chain() : std::vector<ns::INode>();
+        result = co_await apply_and_charge(
+            sim_, tree_, op, chain, lsm_for(op.path),
+            has_dst_path(op.type) ? &lsm_for(op.dst) : nullptr);
     }
     // Open-for-read fetches each symlink hop's row from its own instance.
     if (op.type == OpType::kReadFile && result.status.ok() &&

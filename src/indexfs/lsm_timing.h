@@ -58,10 +58,13 @@ sim::Task<void> charge_lsm(const Op& op, const OpResult& r, bool orphaned,
 
 /**
  * Apply @p op to @p tree now, then charge its row calls (charge_lsm).
- * Every IndexFS op that touches one partition goes through here.
+ * Every IndexFS op that touches one partition goes through here. A read
+ * resolves into @p chain's capacity, which moves into the result (see
+ * ns::apply); the caller's local outlives the await.
  */
 sim::Task<OpResult> apply_and_charge(sim::Simulation& sim,
                                      ns::NamespaceTree& tree, const Op& op,
+                                     std::vector<ns::INode>& chain,
                                      lsm::LsmTree& home,
                                      lsm::LsmTree* dst = nullptr,
                                      net::Network* dst_hop = nullptr);
