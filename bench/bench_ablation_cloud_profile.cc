@@ -59,10 +59,10 @@ run_profile(const char* label, const net::NetworkConfig& network)
     }
     {
         sim::Simulation sim;
-        hopsfs::HopsFsConfig config = make_hops_config(
+        core::LambdaFsConfig config = make_hops_config(
             "hopsfs", vcpus, false, num_vms, clients_per_vm, s);
         config.network = network;
-        hopsfs::HopsFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         ns::BuiltTree tree = build_scaled_tree(fs.authoritative_tree(), s);
         IndustrialRun run = run_industrial(sim, fs, std::move(tree), wcfg);
         result.hops_avg = run.avg_throughput;

@@ -55,9 +55,9 @@ run_hops(const std::string& label, double vcpus, bool cache, int num_vms,
          workload::SpotifyConfig wcfg)
 {
     sim::Simulation sim;
-    hopsfs::HopsFsConfig config = make_hops_config(
+    core::LambdaFsConfig config = make_hops_config(
         label, vcpus, cache, num_vms, clients_per_vm, store_scale);
-    auto fs = std::make_unique<hopsfs::HopsFs>(sim, config);
+    auto fs = std::make_unique<core::LambdaFs>(sim, config);
     ns::BuiltTree tree = build_scaled_tree(fs->authoritative_tree(), scale());
     return run_industrial(sim, *fs, std::move(tree), wcfg);
 }

@@ -39,15 +39,15 @@ run_figure()
     IndustrialRun hops_run;
     {
         sim::Simulation sim;
-        hopsfs::HopsFs fs(sim, make_hops_config("hopsfs", vcpus, false,
-                                                num_vms, clients_per_vm, s));
+        core::LambdaFs fs(sim, make_hops_config("hopsfs", vcpus, false,
+                                               num_vms, clients_per_vm, s));
         ns::BuiltTree tree = build_scaled_tree(fs.authoritative_tree(), s);
         hops_run = run_industrial(sim, fs, std::move(tree), wcfg);
     }
     IndustrialRun cache_run;
     {
         sim::Simulation sim;
-        hopsfs::HopsFs fs(sim,
+        core::LambdaFs fs(sim,
                           make_hops_config("hopsfs+cache", vcpus, true,
                                            num_vms, clients_per_vm, s));
         ns::BuiltTree tree = build_scaled_tree(fs.authoritative_tree(), s);

@@ -65,8 +65,8 @@ run_workload(double base_rate, const char* tag)
     }
     {
         sim::Simulation sim;
-        hopsfs::HopsFs fs(sim, make_hops_config("hopsfs", vcpus, false,
-                                                num_vms, clients_per_vm, s));
+        core::LambdaFs fs(sim, make_hops_config("hopsfs", vcpus, false,
+                                               num_vms, clients_per_vm, s));
         ns::BuiltTree tree = build_scaled_tree(fs.authoritative_tree(), s);
         runs.emplace_back("hopsfs",
                           run_industrial(sim, fs, std::move(tree), wcfg));
@@ -75,7 +75,7 @@ run_workload(double base_rate, const char* tag)
     }
     {
         sim::Simulation sim;
-        hopsfs::HopsFs fs(sim,
+        core::LambdaFs fs(sim,
                           make_hops_config("hopsfs+cache", vcpus, true,
                                            num_vms, clients_per_vm, s));
         ns::BuiltTree tree = build_scaled_tree(fs.authoritative_tree(), s);

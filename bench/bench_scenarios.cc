@@ -285,7 +285,7 @@ make_instance(const std::string& kind, const char* scenario)
         instance.dfs = std::make_unique<core::LambdaFs>(
             *instance.sim, make_lambda_config(kVcpus, kVms, kClientsPerVm));
     } else if (kind == "hopsfs" || kind == "hopsfs+cache") {
-        instance.dfs = std::make_unique<hopsfs::HopsFs>(
+        instance.dfs = std::make_unique<core::LambdaFs>(
             *instance.sim,
             make_hops_config(kind, kVcpus, kind == "hopsfs+cache", kVms,
                              kClientsPerVm));

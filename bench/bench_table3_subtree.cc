@@ -70,7 +70,7 @@ run_table()
         {
             sim::Simulation sim;
             ScopedRunObservation obs(sim, "hopsfs" + size_tag);
-            hopsfs::HopsFs fs(sim,
+            core::LambdaFs fs(sim,
                               make_hops_config("hopsfs", 512.0, false, 8, 2));
             hops_ms = time_mv(fs, sim, files);
         }

@@ -553,24 +553,15 @@ make_lambda_config(double total_vcpus, int num_vms, int clients_per_vm,
     return config;
 }
 
-hopsfs::HopsFsConfig
+core::LambdaFsConfig
 make_hops_config(const std::string& label, double total_vcpus, bool cache,
                  int num_vms, int clients_per_vm, double store_scale)
 {
-    hopsfs::HopsFsConfig config;
+    core::LambdaFsConfig config = core::hopsfs_config(total_vcpus, cache);
     config.label = label;
-    // The paper's HopsFS NameNodes are 16-vCPU servers; smaller budgets
-    // get fewer/thinner NameNodes so the total is honoured exactly.
-    config.num_name_nodes =
-        std::max(1, static_cast<int>(total_vcpus / 16.0));
-    config.name_node.vcpus =
-        total_vcpus / static_cast<double>(config.num_name_nodes);
     config.num_client_vms = num_vms;
     config.clients_per_vm = clients_per_vm;
     config.store = make_store_config(store_scale);
-    if (cache) {
-        config.cache_bytes_per_nn = 2ull * 1024 * 1024 * 1024;
-    }
     return config;
 }
 
@@ -617,7 +608,7 @@ make_system(const std::string& kind, double total_vcpus, int num_clients)
         instance.tree = build_bench_tree(fs->authoritative_tree());
         instance.dfs = std::move(fs);
     } else if (kind == "hopsfs" || kind == "hopsfs+cache") {
-        auto fs = std::make_unique<hopsfs::HopsFs>(
+        auto fs = std::make_unique<core::LambdaFs>(
             *instance.sim,
             make_hops_config(kind, total_vcpus, kind == "hopsfs+cache",
                              num_vms, clients_per_vm));

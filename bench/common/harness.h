@@ -24,7 +24,6 @@
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
-#include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/dfs_interface.h"
@@ -192,8 +191,9 @@ core::LambdaFsConfig make_lambda_config(double total_vcpus, int num_vms,
                                         int clients_per_vm,
                                         double store_scale = 1.0);
 
-/** HopsFS / HopsFS+Cache with a given NameNode vCPU budget. */
-hopsfs::HopsFsConfig make_hops_config(const std::string& label,
+/** HopsFS / HopsFS+Cache (core::hopsfs_config) with a given NameNode
+    vCPU budget. */
+core::LambdaFsConfig make_hops_config(const std::string& label,
                                       double total_vcpus, bool cache,
                                       int num_vms, int clients_per_vm,
                                       double store_scale = 1.0);

@@ -11,7 +11,6 @@
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
-#include "src/hopsfs/hopsfs.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/microbench.h"
 
@@ -63,27 +62,14 @@ main()
                                 sim, fs, demo_tree(fs.authoritative_tree()),
                                 mcfg));
     }
-    {
+    for (bool cached : {false, true}) {
         sim::Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.num_name_nodes = 8;
+        core::LambdaFsConfig config = core::hopsfs_config(128.0, cached);
         config.clients_per_vm = clients / 8;
-        hopsfs::HopsFs fs(sim, config);
-        report("hopsfs", workload::run_microbench(
-                             sim, fs, demo_tree(fs.authoritative_tree()),
-                             mcfg));
-    }
-    {
-        sim::Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.label = "hopsfs+cache";
-        config.num_name_nodes = 8;
-        config.cache_bytes_per_nn = 1ull << 30;
-        config.clients_per_vm = clients / 8;
-        hopsfs::HopsFs fs(sim, config);
-        report("hopsfs+cache", workload::run_microbench(
-                                   sim, fs,
-                                   demo_tree(fs.authoritative_tree()), mcfg));
+        core::LambdaFs fs(sim, config);
+        report(fs.name().c_str(),
+               workload::run_microbench(
+                   sim, fs, demo_tree(fs.authoritative_tree()), mcfg));
     }
     {
         sim::Simulation sim;

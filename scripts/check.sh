@@ -3,7 +3,9 @@
 # Tier-1 verification plus an observability smoke test:
 #   1. configure + build everything
 #   2. run the full ctest suite, then Fig 16 (bench_fig16_indexfs) at
-#      smoke scale: the IndexFS and λIndexFS paths end to end
+#      smoke scale: the IndexFS and λIndexFS paths end to end, then
+#      perfbench's own tests (python3 perfbench/run.py --selftest), which
+#      build the benchmark package against src/
 #   3. rebuild with AddressSanitizer + UBSan and rerun the suite, plus
 #      a forked-sweep smoke, a two-tier namespace paging smoke (a
 #      sub-resident budget drives the evict/fault/compact paths) and a
@@ -45,6 +47,9 @@ echo "== Fig 16 smoke (IndexFS + λIndexFS end to end) =="
 LFS_TT_FIXED_TOTAL=20000 LFS_TT_PER_CLIENT=200 \
     "$BUILD_DIR/bench/bench_fig16_indexfs" >/dev/null
 echo "  ok: bench_fig16_indexfs ran at smoke scale"
+
+echo "== perfbench selftest (builds the benchmark against src/) =="
+python3 perfbench/run.py --selftest
 
 # Gated static analysis: the container image does not ship clang-tidy,
 # so the pass runs only where the tool exists (checks configured in

@@ -84,6 +84,46 @@ infinicache_config()
     return config;
 }
 
+LambdaFsConfig
+hopsfs_config(double total_vcpus, bool cached)
+{
+    // The paper's HopsFS NameNodes are 16-vCPU servers; smaller budgets
+    // get fewer, thinner NameNodes so the total is honoured exactly.
+    const int name_nodes = std::max(1, static_cast<int>(total_vcpus / 16.0));
+    LambdaFsConfig config;
+    config.label = cached ? "hopsfs+cache" : "hopsfs";
+    config.total_vcpus = total_vcpus;
+    config.function.vcpus = total_vcpus / name_nodes;
+    // Servers are up before the workload starts and never go away.
+    config.function.cold_start_min = 0;
+    config.function.cold_start_max = 0;
+    config.function.idle_reclaim = 0;
+    // Vanilla: one pool of stateless NameNodes. +Cache: one NameNode per
+    // namespace partition, so each directory is cached at one place.
+    config.num_deployments = cached ? name_nodes : 1;
+    config.prewarm_per_deployment = cached ? 1 : name_nodes;
+    config.name_node.read_cpu = sim::usec(cached ? 620 : 350);
+    config.name_node.read_block_cpu = 0;
+    config.name_node.miss_extra_cpu = 0;
+    config.name_node.write_cpu = sim::usec(350);
+    config.name_node.cache_bytes = cached ? 2ull * 1024 * 1024 * 1024 : 0;
+    config.name_node.resolve_write_parent = false;
+    config.name_node.subtree_per_row_cpu = sim::usec(4);
+    config.name_node.offload_subtree = false;
+    config.name_node.report_interval = 0;
+    config.client.http_replace_probability = 0.0;
+    config.client.tcp_timeout_default = sim::sec(5);
+    config.client.max_attempts = 8;
+    config.client.straggler_mitigation = false;
+    config.client.anti_thrashing = false;
+    // One TCP server per client, so the serverful preconnect deals each
+    // client its own vanilla NameNode.
+    config.max_clients_per_tcp_server = 1;
+    config.serverful = true;
+    config.seed = 43;
+    return config;
+}
+
 LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
     : sim_(sim),
       config_(std::move(config)),
@@ -170,9 +210,31 @@ LambdaFs::LambdaFs(sim::Simulation& sim, LambdaFsConfig config)
                          config_.total_vcpus);
             std::abort();
         }
+        if (config_.serverful) {
+            deployment.set_max_instances(config_.prewarm_per_deployment);
+        }
     }
 
     int servers = tcp_servers_per_vm(config_);
+    if (config_.serverful) {
+        // Each TCP server (one per client) is dealt one instance of every
+        // deployment in turn: HopsFS's sticky NameNode selection, even
+        // over the pool. A least-loaded pick over the whole pool herds
+        // instead: an instance's load rises only once a request has
+        // crossed the network, so clients that pick together pick alike.
+        for (int vm = 0; vm < config_.num_client_vms; ++vm) {
+            for (int server = 0; server < servers; ++server) {
+                size_t turn = static_cast<size_t>(vm * servers + server);
+                for (int d = 0; d < platform_.deployment_count(); ++d) {
+                    std::vector<faas::FunctionInstance*> pool =
+                        platform_.deployment(d).alive_instances();
+                    tcp_registry_.add_connection(vm, server,
+                                                 pool[turn % pool.size()]);
+                }
+            }
+        }
+    }
+
     int total_clients = config_.num_client_vms * config_.clients_per_vm;
     clients_.reserve(static_cast<size_t>(total_clients));
     for (int i = 0; i < total_clients; ++i) {
@@ -206,6 +268,9 @@ LambdaFs::active_name_nodes() const
 double
 LambdaFs::cost_so_far() const
 {
+    if (config_.serverful) {
+        return cost::vm_cost(config_.total_vcpus, sim_.now());
+    }
     return cost::lambda_cost(platform_.total_busy_gb_us(),
                              platform_.total_gateway_invocations());
 }
@@ -213,6 +278,9 @@ LambdaFs::cost_so_far() const
 double
 LambdaFs::simplified_cost_so_far() const
 {
+    if (config_.serverful) {
+        return cost_so_far();
+    }
     return cost::simplified_cost(platform_.total_provisioned_gb_us(),
                                  platform_.total_gateway_invocations());
 }

@@ -6,7 +6,8 @@
  * implementing the workload::Dfs interface (Figure 2). Over IndexFS' LSM
  * store instead of NDB, the same assembly is λIndexFS (§4, §5.7); as a
  * fixed pool reached only through the API gateway, it is InfiniCache
- * (§5.1).
+ * (§5.1); as a fixed, always-connected pool billed by the VM-hour, it is
+ * HopsFS and HopsFS+Cache (§2, §5.1).
  */
 #pragma once
 
@@ -60,6 +61,14 @@ struct LambdaFsConfig {
     int prewarm_per_deployment = 1;
     /** Overload control, handed to every layer that sheds. */
     util::OverloadControlConfig overload;
+    /**
+     * A serverful pool (HopsFS): from the start, every TCP server holds a
+     * connection to one prewarmed instance of each deployment, dealt out
+     * in turn; no deployment scales past its prewarmed instances; and the
+     * pool is billed as VMs of total_vcpus (cost::vm_cost) instead of
+     * pay-per-use.
+     */
+    bool serverful = false;
     uint64_t seed = 42;
 };
 
@@ -79,6 +88,18 @@ LambdaFsConfig lambda_indexfs_config();
  * LambdaFs::set_max_instances_per_deployment(1).
  */
 LambdaFsConfig infinicache_config();
+
+/**
+ * HopsFS as §5.1 deploys it: N = max(1, total_vcpus / 16) serverful
+ * NameNodes of total_vcpus / N vCPUs, each always warm and never
+ * reclaimed, and no op goes through the API gateway. Vanilla HopsFS
+ * (@p cached false) is one deployment of N stateless NameNodes, each
+ * client sticking to one of them; HopsFS+Cache is N one-instance
+ * deployments with a 2-GB cache each, reached by parent-directory hash
+ * like λFS. The cost-normalized variant is the cached preset at a
+ * smaller @p total_vcpus.
+ */
+LambdaFsConfig hopsfs_config(double total_vcpus, bool cached);
 
 class LambdaFs : public workload::Dfs {
   public:

@@ -44,8 +44,12 @@ NameNode::NameNode(LfsRuntime& runtime, faas::FunctionInstance& instance,
           "overload.namenode_shed",
           {{"deployment", std::to_string(instance.deployment_id())}}))
 {
-    rt_.coordinator.join(instance_.deployment_id(), this);
-    in_coordinator_ = true;
+    // A stateless NameNode caches nothing, so no write ever needs to
+    // invalidate it.
+    if (config_.cache_bytes > 0) {
+        rt_.coordinator.join(instance_.deployment_id(), this);
+        in_coordinator_ = true;
+    }
     if (config_.report_interval > 0) {
         sim::spawn(report_loop());
     }
@@ -275,7 +279,8 @@ NameNode::handle_write(const Op& op)
     // chain. With the parent cached (the "INode Hint Cache" effect) this
     // is free; otherwise it costs one batched resolve round trip.
     bool parent_missing = false;
-    if (!cache_.contains(path::parent_view(op.path))) {
+    if (config_.resolve_write_parent &&
+        !cache_.contains(path::parent_view(op.path))) {
         // A recycled stat Op: its path keeps the capacity of earlier
         // parents, and only the path and principal ever change.
         Op resolve = take_from(free_resolves_);
@@ -308,10 +313,14 @@ NameNode::handle_write(const Op& op)
     // Algorithm 1: the INV/ACK round runs while the store's exclusive row
     // locks are held, so no other NameNode can re-read-and-cache stale
     // metadata between invalidation and commit.
-    OpResult result = co_await rt_.store.write_op(
-        op, [this, &op, parent_missing]() {
-            return run_coherence(op, parent_missing);
-        });
+    // A stateless NameNode (no cache) has nothing to keep coherent.
+    auto coherence = [this, &op, parent_missing]() {
+        return run_coherence(op, parent_missing);
+    };
+    const store::Store::LockedHook hook =
+        config_.cache_bytes > 0 ? store::Store::LockedHook(coherence)
+                                : nullptr;
+    OpResult result = co_await rt_.store.write_op(op, hook);
     result.ledger.merge(pre);
     co_return result;
 }
@@ -329,7 +338,9 @@ NameNode::handle_subtree(const Op& op)
         helpers = std::clamp(candidates, 1, kMaxOffloadHelpers);
     }
     store::SubtreeExecution exec;
-    exec.after_lock = [this, &op]() { return run_subtree_coherence(op); };
+    if (config_.cache_bytes > 0) {
+        exec.after_lock = [this, &op]() { return run_subtree_coherence(op); };
+    }
     exec.per_row_nn_cost = config_.subtree_per_row_cpu / helpers;
     OpResult result = co_await rt_.store.subtree_op(op, exec);
     result.ledger.add(sim::LatSeg::kNameNodeCpu, cpu_wait);
@@ -409,7 +420,7 @@ NameNode::requires_subtree_protocol(const Op& op) const
 {
     // mv of a directory relocates every descendant path, so cached
     // entries under the old prefix must be invalidated subtree-wide.
-    if (op.type != OpType::kMv) {
+    if (op.type != OpType::kMv || config_.cache_bytes == 0) {
         return false;
     }
     ns::UserContext root;

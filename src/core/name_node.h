@@ -44,8 +44,16 @@ struct NameNodeConfig {
     sim::SimTime miss_extra_cpu = sim::usec(150);
     /** CPU per write operation (excluding coherence + store time). */
     sim::SimTime write_cpu = sim::usec(700);
-    /** Local cache budget in bytes. */
+    /**
+     * Local cache budget in bytes. 0 is a stateless NameNode: it joins no
+     * coordinator group and runs no coherence round.
+     */
     size_t cache_bytes = 1ull * 1024 * 1024 * 1024;
+    /**
+     * Resolve a write's uncached parent through the store before the
+     * transaction. HopsFS clients' INode hint cache makes it free (§2).
+     */
+    bool resolve_write_parent = true;
     /** NameNode-side per-inode cost of subtree batch processing. */
     sim::SimTime subtree_per_row_cpu = sim::usec(8);
     /** Offload subtree batches to helper NameNodes (Appendix D). */

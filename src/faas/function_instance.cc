@@ -33,6 +33,12 @@ FunctionInstance::start_cold()
 {
     sim::SimTime cold =
         rng_.uniform_duration(config_.cold_start_min, config_.cold_start_max);
+    if (cold <= 0) {
+        // No cold start: a server that is up before the workload (a
+        // serverful pool) takes requests at once.
+        become_warm();
+        return;
+    }
     // shared_ptr: Span is move-only but Simulation::schedule needs a
     // copyable callable. Null when tracing is off (no allocation).
     std::shared_ptr<sim::Span> span;
@@ -47,12 +53,18 @@ FunctionInstance::start_cold()
             span->end();
         }
         if (state_ == State::kColdStarting) {
-            state_ = State::kWarm;
-            last_activity_ = sim_.now();
-            warm_gate_.set();
-            schedule_idle_check();
+            become_warm();
         }
     });
+}
+
+void
+FunctionInstance::become_warm()
+{
+    state_ = State::kWarm;
+    last_activity_ = sim_.now();
+    warm_gate_.set();
+    schedule_idle_check();
 }
 
 void

@@ -94,7 +94,10 @@ class FunctionInstance {
     // Lifecycle
     // ------------------------------------------------------------------
 
-    /** Begin the cold start; warm_gate() opens when it completes. */
+    /**
+     * Begin the cold start; warm_gate() opens when it completes, or at
+     * once when the drawn cold start is zero.
+     */
     void start_cold();
 
     /** Gate that opens when the instance becomes warm. */
@@ -164,6 +167,7 @@ class FunctionInstance {
 
   private:
     sim::Task<OpResult> serve(Invocation inv, bool via_http);
+    void become_warm();
     void begin_request();
     void end_request();
     void schedule_idle_check();

@@ -38,9 +38,12 @@ co_write_phase(Dfs& dfs, size_t client, int64_t ops, TreeTestState& state,
                                       std::to_string(i));
         OpResult result =
             co_await dfs.client(client).execute(op);
-        if (result.status.ok()) {
+        if (counts_as_completed(result.status)) {
             ++state.writes;
-            state.written.push_back(op.path);
+            // Only a file that exists is worth reading back.
+            if (result.status.ok()) {
+                state.written.push_back(op.path);
+            }
         } else {
             ++state.failures;
         }
@@ -57,7 +60,7 @@ co_read_phase(Dfs& dfs, size_t client, int64_t ops, TreeTestState& state,
         op.type = OpType::kStat;
         op.path = state.written[rng.index(state.written.size())];
         OpResult result = co_await dfs.client(client).execute(std::move(op));
-        if (result.status.ok()) {
+        if (counts_as_completed(result.status)) {
             ++state.reads;
         } else {
             ++state.failures;

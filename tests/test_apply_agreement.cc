@@ -9,6 +9,9 @@
  *  - CephFS must agree with the store on every mutation (its reads may
  *    be served from a client capability, which by design skips the
  *    permission check).
+ *  - Vanilla HopsFS (λFS's NameNode on a stateless serverful pool) must
+ *    agree with the store on every op, reads included: it has no cache
+ *    to answer from.
  *  - IndexFS and λIndexFS run the stream filtered to the ops they serve
  *    and must agree with the store, on the same filtered stream, on every
  *    result field of every op their namespace answers. An answer from
@@ -283,17 +286,32 @@ TEST_P(ApplyAgreement, CachelessSystemsAgreeOpForOp)
     sim::spawn(co_drive_dfs(ceph_fs, ops, from_ceph));
     ceph_sim.run();
 
+    sim::Simulation hops_sim;
+    core::LambdaFsConfig hops_config = core::hopsfs_config(32.0, false);
+    hops_config.num_client_vms = 1;
+    hops_config.clients_per_vm = kPrincipals;
+    core::LambdaFs hops_fs(hops_sim, hops_config);
+    std::vector<OpResult> from_hops;
+    sim::spawn(co_drive_dfs(hops_fs, ops, from_hops));
+    hops_sim.run();
+
     ASSERT_EQ(from_store.size(), ops.size());
     ASSERT_EQ(from_ceph.size(), ops.size());
+    ASSERT_EQ(from_hops.size(), ops.size());
     int failed = 0;
     for (size_t i = 0; i < ops.size(); ++i) {
         const OpResult& s = from_store[i];
         failed += s.status.ok() ? 0 : 1;
+        const std::string what = describe(ops[i], i);
+        const OpResult& h = from_hops[i];
+        EXPECT_FALSE(h.cache_hit) << "hopsfs " << what;
+        EXPECT_EQ(s.status.code(), h.status.code()) << "hopsfs " << what;
+        EXPECT_EQ(s.inode.id, h.inode.id) << "hopsfs " << what;
+        EXPECT_EQ(s.inodes_touched, h.inodes_touched) << "hopsfs " << what;
         if (is_read_op(ops[i].type)) {
             continue;
         }
         const OpResult& c = from_ceph[i];
-        const std::string what = describe(ops[i], i);
         EXPECT_EQ(s.status.code(), c.status.code()) << what;
         EXPECT_EQ(s.inode.id, c.inode.id) << what;
         EXPECT_EQ(s.inodes_touched, c.inodes_touched) << what;
@@ -303,8 +321,10 @@ TEST_P(ApplyAgreement, CachelessSystemsAgreeOpForOp)
     EXPECT_LT(failed, static_cast<int>(ops.size()) * 9 / 10);
 
     EXPECT_EQ(dump_tree(ceph_fs.authoritative_tree()), dump_tree(store.tree()));
+    EXPECT_EQ(dump_tree(hops_fs.authoritative_tree()), dump_tree(store.tree()));
     expect_lifecycle_clean(store.tree(), "store");
     expect_lifecycle_clean(ceph_fs.authoritative_tree(), "cephfs");
+    expect_lifecycle_clean(hops_fs.authoritative_tree(), "hopsfs");
 }
 
 /**

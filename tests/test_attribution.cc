@@ -18,7 +18,6 @@
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
-#include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/flight_recorder.h"
@@ -262,11 +261,10 @@ TEST(AttributionInvariant, HopsFs)
 {
     Simulation sim;
     sim.set_attribution(true);
-    hopsfs::HopsFsConfig config;
-    config.num_name_nodes = 4;
+    core::LambdaFsConfig config = core::hopsfs_config(64.0, false);
     config.num_client_vms = 2;
     config.clients_per_vm = 8;
-    hopsfs::HopsFs fs(sim, config);
+    core::LambdaFs fs(sim, config);
     ns::UserContext root;
     fs.authoritative_tree().mkdirs("/d", root, 0);
     fs.authoritative_tree().create_file("/d/f", root, 0);
@@ -449,11 +447,10 @@ TEST(AttributionInvariant, LedgerIsStampedWithTheSwitchOff)
         "lambda-fs");
     expect_stamped_whatever_the_switch(
         [](Simulation& sim, std::unique_ptr<workload::Dfs>& out) {
-            hopsfs::HopsFsConfig config;
-            config.num_name_nodes = 2;
+            core::LambdaFsConfig config = core::hopsfs_config(32.0, false);
             config.num_client_vms = 1;
             config.clients_per_vm = 2;
-            auto fs = std::make_unique<hopsfs::HopsFs>(sim, config);
+            auto fs = std::make_unique<core::LambdaFs>(sim, config);
             fs->authoritative_tree().mkdirs("/d", ns::UserContext{}, 0);
             out = std::move(fs);
             return std::string("/d");

@@ -1,35 +1,33 @@
 /**
  * @file
- * Tests for the HopsFS baseline: stateless serving, store-bound
- * behaviour, the +Cache variant's routing and invalidation, and subtree
- * operations.
+ * Tests for the HopsFS baseline, built as core::LambdaFs from
+ * core::hopsfs_config(): stateless serving, store-bound behaviour, the
+ * +Cache variant's routing and invalidation, subtree operations, and the
+ * serverful pool (no gateway, no scaling, VM billing, spread load).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "src/hopsfs/hopsfs.h"
+#include "src/core/lambda_fs.h"
 #include "src/namespace/tree_builder.h"
 #include "src/sim/simulation.h"
 
-namespace lfs::hopsfs {
+namespace lfs::core {
 namespace {
 
 using sim::Simulation;
 using sim::Task;
 
-HopsFsConfig
+/** 64 vCPUs: four 16-vCPU NameNodes, 16 clients on 2 VMs. */
+LambdaFsConfig
 small_config(bool cached)
 {
-    HopsFsConfig config;
-    config.num_name_nodes = 4;
+    LambdaFsConfig config = hopsfs_config(64.0, cached);
     config.num_client_vms = 2;
     config.clients_per_vm = 8;
-    if (cached) {
-        config.label = "hopsfs-cache";
-        config.cache_bytes_per_nn = 64ull * 1024 * 1024;
-    }
     return config;
 }
 
@@ -50,7 +48,7 @@ co_execute(workload::DfsClient& client, Op op, OpResult& out)
 }
 
 OpResult
-run_one(Simulation& sim, HopsFs& fs, size_t client, Op op)
+run_one(Simulation& sim, LambdaFs& fs, size_t client, Op op)
 {
     OpResult result;
     sim::spawn(co_execute(fs.client(client), std::move(op), result));
@@ -61,7 +59,7 @@ run_one(Simulation& sim, HopsFs& fs, size_t client, Op op)
 TEST(HopsFs, BasicReadWrite)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(false));
+    LambdaFs fs(sim, small_config(false));
     ns::UserContext root;
     fs.authoritative_tree().mkdirs("/d", root, 0);
 
@@ -77,7 +75,7 @@ TEST(HopsFs, BasicReadWrite)
 TEST(HopsFs, VanillaAlwaysHitsTheStore)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(false));
+    LambdaFs fs(sim, small_config(false));
     ns::UserContext root;
     fs.authoritative_tree().create_file("/f", root, 0);
     for (int i = 0; i < 5; ++i) {
@@ -91,7 +89,7 @@ TEST(HopsFs, VanillaAlwaysHitsTheStore)
 TEST(HopsFsCache, SecondReadHitsCache)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(true));
+    LambdaFs fs(sim, small_config(true));
     ns::UserContext root;
     fs.authoritative_tree().create_file("/f", root, 0);
     OpResult first = run_one(sim, fs, 0, make_op(OpType::kStat, "/f"));
@@ -106,7 +104,7 @@ TEST(HopsFsCache, SecondReadHitsCache)
 TEST(HopsFsCache, WriteInvalidatesOwningNameNode)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(true));
+    LambdaFs fs(sim, small_config(true));
     ns::UserContext root;
     fs.authoritative_tree().mkdirs("/d", root, 0);
     fs.authoritative_tree().create_file("/d/f", root, 0);
@@ -123,7 +121,7 @@ TEST(HopsFsCache, WriteInvalidatesOwningNameNode)
 TEST(HopsFsCache, DirectoryMvUsesSubtreeInvalidation)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(true));
+    LambdaFs fs(sim, small_config(true));
     ns::UserContext root;
     fs.authoritative_tree().mkdirs("/a/b", root, 0);
     fs.authoritative_tree().create_file("/a/b/f", root, 0);
@@ -143,7 +141,7 @@ TEST(HopsFsCache, DirectoryMvUsesSubtreeInvalidation)
 TEST(HopsFs, SubtreeDelete)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(false));
+    LambdaFs fs(sim, small_config(false));
     ns::UserContext root;
     ns::build_flat_directory(fs.authoritative_tree(), "/big", 1000, root, 0);
     OpResult del =
@@ -155,7 +153,7 @@ TEST(HopsFs, SubtreeDelete)
 TEST(HopsFs, CostGrowsLinearlyWithTime)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(false));
+    LambdaFs fs(sim, small_config(false));
     sim.run_until(sim::sec(3600));
     double one_hour = fs.cost_so_far();
     sim.run_until(sim::sec(7200));
@@ -167,7 +165,7 @@ TEST(HopsFs, CostGrowsLinearlyWithTime)
 TEST(HopsFs, ConcurrentClientsAllComplete)
 {
     Simulation sim;
-    HopsFs fs(sim, small_config(false));
+    LambdaFs fs(sim, small_config(false));
     ns::UserContext root;
     auto built =
         ns::build_flat_directory(fs.authoritative_tree(), "/d", 50, root, 0);
@@ -185,5 +183,111 @@ TEST(HopsFs, ConcurrentClientsAllComplete)
     }
 }
 
+/** @p ops reads and creates by client @p client, back to back. */
+Task<void>
+co_burst(workload::DfsClient& client, const ns::BuiltTree& tree, int client_id,
+         int ops, int& completed)
+{
+    for (int i = 0; i < ops; ++i) {
+        Op op = i % 4 == 3
+                    ? make_op(OpType::kCreateFile,
+                              tree.dirs[static_cast<size_t>(i) %
+                                        tree.dirs.size()] +
+                                  "/c" + std::to_string(client_id) + "_" +
+                                  std::to_string(i))
+                    : make_op(OpType::kStat,
+                              tree.files[static_cast<size_t>(
+                                             client_id * 7 + i) %
+                                         tree.files.size()]);
+        OpResult r = co_await client.execute(std::move(op));
+        completed += r.status.ok() ? 1 : 0;
+    }
+}
+
+ns::BuiltTree
+burst_tree(ns::NamespaceTree& tree)
+{
+    ns::TreeSpec spec;
+    spec.root = "/t";
+    spec.depth = 2;
+    spec.fanout = 4;
+    spec.files_per_dir = 4;
+    return ns::build_balanced_tree(tree, spec, {}, 0);
+}
+
+TEST(HopsFs, ServerfulPoolNeverTouchesTheGateway)
+{
+    for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "hopsfs+cache" : "hopsfs");
+        Simulation sim;
+        LambdaFs fs(sim, small_config(cached));
+        const ns::BuiltTree tree = burst_tree(fs.authoritative_tree());
+        const int pool = fs.active_name_nodes();
+        EXPECT_EQ(pool, 4);
+
+        // Every client issues at once: a burst λFS would scale out for.
+        int completed = 0;
+        for (size_t c = 0; c < fs.client_count(); ++c) {
+            sim::spawn(co_burst(fs.client(c), tree, static_cast<int>(c), 40,
+                                completed));
+        }
+        int min_alive = pool;
+        int max_alive = pool;
+        while (sim.now() < sim::sec(30) && sim.step()) {
+            min_alive = std::min(min_alive, fs.active_name_nodes());
+            max_alive = std::max(max_alive, fs.active_name_nodes());
+        }
+        EXPECT_EQ(completed, static_cast<int>(fs.client_count()) * 40);
+        EXPECT_EQ(min_alive, pool);
+        EXPECT_EQ(max_alive, pool);
+
+        uint64_t http = 0;
+        uint64_t tcp = 0;
+        for (size_t c = 0; c < fs.client_count(); ++c) {
+            http += fs.lfs_client(c).http_rpcs();
+            tcp += fs.lfs_client(c).tcp_rpcs();
+        }
+        EXPECT_EQ(http, 0u);
+        EXPECT_GE(tcp, static_cast<uint64_t>(completed));
+        EXPECT_EQ(fs.platform().total_gateway_invocations(), 0u);
+        EXPECT_EQ(fs.platform().total_cold_starts(), 0u);
+        EXPECT_DOUBLE_EQ(fs.cost_so_far(), cost::vm_cost(64.0, sim.now()));
+        EXPECT_DOUBLE_EQ(fs.simplified_cost_so_far(), fs.cost_so_far());
+    }
+}
+
+TEST(HopsFs, VanillaSpreadsRequestsAcrossNameNodes)
+{
+    Simulation sim;
+    LambdaFsConfig config = hopsfs_config(64.0, false);
+    config.num_client_vms = 8;
+    config.clients_per_vm = 8;
+    LambdaFs fs(sim, config);
+    const ns::BuiltTree tree = burst_tree(fs.authoritative_tree());
+
+    // 64 clients start in the same instant, before any request has
+    // reached a NameNode and raised its load.
+    int completed = 0;
+    for (size_t c = 0; c < fs.client_count(); ++c) {
+        sim::spawn(
+            co_burst(fs.client(c), tree, static_cast<int>(c), 20, completed));
+    }
+    sim.run_until(sim::sec(60));
+    ASSERT_EQ(completed, 64 * 20);
+
+    std::vector<faas::FunctionInstance*> pool =
+        fs.platform().deployment(0).alive_instances();
+    ASSERT_EQ(pool.size(), 4u);
+    uint64_t least = UINT64_MAX;
+    uint64_t most = 0;
+    for (faas::FunctionInstance* nn : pool) {
+        least = std::min(least, nn->requests_served());
+        most = std::max(most, nn->requests_served());
+    }
+    EXPECT_GT(least, 0u);
+    EXPECT_LE(static_cast<double>(most), 1.5 * static_cast<double>(least))
+        << "most " << most << " least " << least;
+}
+
 }  // namespace
-}  // namespace lfs::hopsfs
+}  // namespace lfs::core

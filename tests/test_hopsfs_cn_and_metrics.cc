@@ -6,7 +6,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "src/hopsfs/hopsfs.h"
+#include "src/core/lambda_fs.h"
 #include "src/sim/simulation.h"
 #include "src/workload/metrics.h"
 
@@ -19,13 +19,12 @@ TEST(HopsFsSizing, FractionalBudgetsYieldThinnerNameNodes)
     // be honoured exactly: one NameNode with 9 vCPUs, not a rounded-up
     // 16-vCPU server.
     sim::Simulation sim;
-    hopsfs::HopsFsConfig config;
-    config.num_name_nodes = 1;
-    config.name_node.vcpus = 9.0;
+    core::LambdaFsConfig config = core::hopsfs_config(9.0, true);
     config.num_client_vms = 1;
     config.clients_per_vm = 2;
-    hopsfs::HopsFs fs(sim, config);
+    core::LambdaFs fs(sim, config);
     EXPECT_EQ(fs.active_name_nodes(), 1);
+    EXPECT_DOUBLE_EQ(fs.config().function.vcpus, 9.0);
     sim.run_until(sim::sec(3600));
     EXPECT_NEAR(fs.cost_so_far(), 9.0 * 1.008 / 16.0, 1e-9);
 }

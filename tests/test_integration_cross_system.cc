@@ -15,7 +15,6 @@
 
 #include "src/cephfs/cephfs.h"
 #include "src/core/lambda_fs.h"
-#include "src/hopsfs/hopsfs.h"
 #include "src/indexfs/indexfs.h"
 #include "src/namespace/tree_builder.h"
 #include "src/workload/microbench.h"
@@ -67,11 +66,10 @@ TEST(CrossSystem, WarmLambdaReadsBeatStatelessHopsFs)
     }
     {
         Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.num_name_nodes = 4;
+        core::LambdaFsConfig config = core::hopsfs_config(64.0, false);
         config.num_client_vms = 2;
         config.clients_per_vm = 16;
-        hopsfs::HopsFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         hops_tput = bench_reads(sim, fs, 32, 200).ops_per_sec;
     }
     // 32 warm clients over 80 files: λFS serves from cache; HopsFS pays
@@ -105,11 +103,10 @@ TEST(CrossSystem, WritesAreStoreBoundEverywhere)
     }
     {
         Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.num_name_nodes = 4;
+        core::LambdaFsConfig config = core::hopsfs_config(64.0, false);
         config.num_client_vms = 2;
         config.clients_per_vm = 16;
-        hopsfs::HopsFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         hops_tput = bench_creates(fs, sim).ops_per_sec;
     }
     // Same store model on both sides: creates land within ~2.5x of each
@@ -169,11 +166,10 @@ TEST(CrossSystem, SpotifyWorkloadCompletesOnAllSystems)
     }
     {
         Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.num_name_nodes = 2;
+        core::LambdaFsConfig config = core::hopsfs_config(32.0, false);
         config.num_client_vms = 2;
         config.clients_per_vm = 16;
-        hopsfs::HopsFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         run(fs, sim);
     }
     {
@@ -260,11 +256,10 @@ TEST(CrossSystem, OpenForReadChecksReadPermissionEverywhere)
     }
     {
         Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.num_name_nodes = 2;
+        core::LambdaFsConfig config = core::hopsfs_config(32.0, false);
         config.num_client_vms = 1;
         config.clients_per_vm = 1;
-        hopsfs::HopsFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         check(fs, sim);
     }
     {
@@ -359,13 +354,10 @@ TEST(CrossSystem, WarmCacheOpenChecksReadPermission)
     }
     {
         Simulation sim;
-        hopsfs::HopsFsConfig config;
-        config.label = "hopsfs-cache";
-        config.cache_bytes_per_nn = 64ull * 1024 * 1024;
-        config.num_name_nodes = 1;
+        core::LambdaFsConfig config = core::hopsfs_config(16.0, true);
         config.num_client_vms = 1;
         config.clients_per_vm = 1;
-        hopsfs::HopsFs fs(sim, config);
+        core::LambdaFs fs(sim, config);
         check(fs, sim);
     }
     {

@@ -14,6 +14,9 @@
  *  - the number of events executed. It moves when the kernel stops
  *    running events that provably do nothing (e.g. cancelled timeouts),
  *    which changes no outcome.
+ *
+ * The full-alphabet run is pinned on the HopsFS and HopsFS+Cache presets
+ * as well.
  */
 #include <gtest/gtest.h>
 
@@ -64,6 +67,17 @@ small_config(uint64_t seed)
     config.num_deployments = 4;
     config.total_vcpus = 64.0;
     config.function.vcpus = 4.0;
+    config.num_client_vms = 1;
+    config.clients_per_vm = 2;
+    config.seed = seed;
+    return config;
+}
+
+/** HopsFS (@p cached: HopsFS+Cache) on four 16-vCPU NameNodes. */
+LambdaFsConfig
+hops_config(uint64_t seed, bool cached)
+{
+    LambdaFsConfig config = hopsfs_config(64.0, cached);
     config.num_client_vms = 1;
     config.clients_per_vm = 2;
     config.seed = seed;
@@ -249,10 +263,11 @@ co_extended_driver(sim::Simulation& sim, LambdaFs& fs, sim::Rng& rng,
 }
 
 RunTrace
-run_extended_workload(uint64_t seed, int steps)
+run_extended_workload(const LambdaFsConfig& config, int steps)
 {
+    const uint64_t seed = config.seed;
     sim::Simulation sim;
-    LambdaFs fs(sim, small_config(seed));
+    LambdaFs fs(sim, config);
     sim.run_until(sim::sec(2));
 
     TraceHash hash;
@@ -276,7 +291,7 @@ constexpr uint64_t kExtendedGoldenEvents = 4627;
 
 TEST(OpDeterminism, ExtendedOpsGoldenTrace)
 {
-    RunTrace run = run_extended_workload(0x5ca1ab1e, 400);
+    RunTrace run = run_extended_workload(small_config(0x5ca1ab1e), 400);
     EXPECT_EQ(run.outcome, kExtendedGoldenHash)
         << "extended-op λFS outcomes diverged from their golden trace";
     EXPECT_EQ(run.events, kExtendedGoldenEvents)
@@ -285,7 +300,37 @@ TEST(OpDeterminism, ExtendedOpsGoldenTrace)
 
 TEST(OpDeterminism, ExtendedRepeatRunsAreBitIdentical)
 {
-    EXPECT_EQ(run_extended_workload(99, 150), run_extended_workload(99, 150));
+    EXPECT_EQ(run_extended_workload(small_config(99), 150),
+              run_extended_workload(small_config(99), 150));
+}
+
+/**
+ * Golden outcome hashes and event counts of the same full-alphabet run on
+ * the HopsFS presets, the denominator of most of the paper's ratios.
+ */
+constexpr uint64_t kHopsFsGoldenHash = 0x4190c7af20e55ac4ull;
+constexpr uint64_t kHopsFsGoldenEvents = 2847;
+constexpr uint64_t kHopsFsCacheGoldenHash = 0xf371d2dca49e3405ull;
+constexpr uint64_t kHopsFsCacheGoldenEvents = 4181;
+
+TEST(OpDeterminism, HopsFsExtendedOpsGoldenTrace)
+{
+    RunTrace run = run_extended_workload(hops_config(0x5ca1ab1e, false), 400);
+    EXPECT_EQ(run.outcome, kHopsFsGoldenHash)
+        << "extended-op HopsFS outcomes diverged from their golden trace";
+    EXPECT_EQ(run.events, kHopsFsGoldenEvents)
+        << "extended-op HopsFS run executed a different number of events";
+}
+
+TEST(OpDeterminism, HopsFsCacheExtendedOpsGoldenTrace)
+{
+    RunTrace run = run_extended_workload(hops_config(0x5ca1ab1e, true), 400);
+    EXPECT_EQ(run.outcome, kHopsFsCacheGoldenHash)
+        << "extended-op HopsFS+Cache outcomes diverged from their golden "
+           "trace";
+    EXPECT_EQ(run.events, kHopsFsCacheGoldenEvents)
+        << "extended-op HopsFS+Cache run executed a different number of "
+           "events";
 }
 
 }  // namespace
